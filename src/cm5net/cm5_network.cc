@@ -84,11 +84,9 @@ Cm5Network::routeToEdge(Packet &&pkt)
         lastArrival_[pkt.dst] = arrival;
     }
 
-    // Move the packet into the scheduled closure.
-    auto carried = std::make_shared<Packet>(std::move(pkt));
-    sim_.scheduleAt(arrival, [this, carried]() mutable {
-        arriveAtEdge(std::move(*carried));
-    });
+    // Park the packet; the closure carries only its slot.
+    const std::uint32_t slot = park(std::move(pkt));
+    sim_.scheduleAt(arrival, [this, slot] { arriveAtEdge(unpark(slot)); });
 }
 
 void
@@ -97,10 +95,16 @@ Cm5Network::arriveAtEdge(Packet &&pkt)
     hostprof::HostScope hs(hostprof::Site::Cm5Deliver);
     auto &policy =
         policyFor({pkt.src, pkt.dst, static_cast<int>(pkt.vnet)});
+    // Reuse the member release buffer, swapped out while in use: a
+    // nested arrival (a sink that runs the event loop) then gets a
+    // buffer of its own instead of clobbering this one.
     std::vector<Packet> release;
+    release.swap(release_);
     policy.arrive(std::move(pkt), release);
     for (auto &p : release)
         tryDeliver(std::move(p));
+    release.clear();
+    release.swap(release_);
 }
 
 void
@@ -114,10 +118,8 @@ Cm5Network::tryDeliver(Packet &&pkt)
     // Sink full: the packet occupies network buffers and is offered
     // again later — backpressure.
     ++stats_.deliveryRetries;
-    auto carried = std::make_shared<Packet>(std::move(pkt));
-    sim_.schedule(cfg_.retryDelay, [this, carried]() mutable {
-        tryDeliver(std::move(*carried));
-    });
+    const std::uint32_t slot = park(std::move(pkt));
+    sim_.schedule(cfg_.retryDelay, [this, slot] { tryDeliver(unpark(slot)); });
 }
 
 void

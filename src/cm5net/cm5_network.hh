@@ -27,6 +27,7 @@
 #include <tuple>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "net/fault.hh"
 #include "net/network.hh"
@@ -105,6 +106,8 @@ class Cm5Network : public Network
     std::map<FlowKey, std::unique_ptr<OrderPolicy>> policies_;
     std::map<NodeId, Tick> lastDeparture_; ///< injection serialization
     std::map<NodeId, Tick> lastArrival_;   ///< delivery serialization
+    /// arriveAtEdge's release buffer, kept to reuse its capacity.
+    std::vector<Packet> release_;
 };
 
 } // namespace msgsim

@@ -1,7 +1,5 @@
 #include "crnet/cr_network.hh"
 
-#include <memory>
-
 #include "hostprof/hostprof.hh"
 #include "sim/log.hh"
 
@@ -21,14 +19,11 @@ CrNetwork::injectImpl(Packet &&pkt)
     Tick latency = cfg_.baseLatency +
                    cfg_.hopLatency * tree_.hops(pkt.src, pkt.dst);
 
-    // Packet-level fault tolerance: probe the injector on a copy; every
-    // hit (drop, corruption, or a would-be duplicate) models a
-    // killed-and-retransmitted packet.  The payload that finally
-    // arrives is always intact, exactly once.
-    for (;;) {
-        Packet probe = pkt;
-        if (faults_.apply(probe) == FaultAction::None)
-            break;
+    // Packet-level fault tolerance: every injector verdict (drop,
+    // corruption, or a would-be duplicate) models a killed-and-
+    // retransmitted packet.  Only the verdict is taken, never applied:
+    // the payload that finally arrives is intact, exactly once.
+    while (faults_.decide(pkt) != FaultAction::None) {
         ++stats_.hwRetries;
         trace(TraceEvent::HwRetry, pkt);
         latency += cfg_.hwRetryDelay;
@@ -58,43 +53,57 @@ CrNetwork::injectImpl(Packet &&pkt)
     }
     lastArrival_[flow] = arrival;
 
-    auto carried = std::make_shared<Packet>(std::move(pkt));
-    sim_.scheduleAt(arrival, [this, flow, carried]() mutable {
-        arrive(flow, std::move(*carried));
-    });
+    const std::uint32_t slot = park(std::move(pkt));
+    sim_.scheduleAt(arrival, [this, slot] { arrive(unpark(slot)); });
     return true;
 }
 
 void
-CrNetwork::arrive(FlowKey flow, Packet &&pkt)
+CrNetwork::arrive(Packet &&pkt)
 {
     hostprof::HostScope hs(hostprof::Site::CrDeliver);
-    flows_[flow].queue.push_back(std::move(pkt));
-    drain(flow);
+    FlowState &state =
+        flows_[FlowKey{pkt.src, pkt.dst, static_cast<int>(pkt.vnet)}];
+    if (!state.queue.empty()) {
+        state.queue.push_back(std::move(pkt));
+        drain(state);
+        return;
+    }
+    // Nothing queued ahead: present directly.  A refusing sink leaves
+    // the packet intact, so on refusal it is queued exactly as drain()
+    // would have left it.
+    if (!presentToSink(std::move(pkt))) {
+        state.queue.push_back(std::move(pkt));
+        refused(state);
+    }
 }
 
 void
-CrNetwork::drain(FlowKey flow)
+CrNetwork::drain(FlowState &state)
 {
     // Reject-retry closures re-enter here outside arrive().
     hostprof::HostScope hs(hostprof::Site::CrDeliver);
-    auto &state = flows_[flow];
     state.drainScheduled = false;
     while (!state.queue.empty()) {
-        if (!presentToSink(Packet(state.queue.front()))) {
-            // Header rejected: hardware tears the path down and
-            // retransmits later; younger packets wait behind, so
-            // order is preserved.
-            ++stats_.deliveryRetries;
-            if (!state.drainScheduled) {
-                state.drainScheduled = true;
-                sim_.schedule(cfg_.rejectRetryDelay,
-                              [this, flow] { drain(flow); });
-            }
+        if (!presentToSink(std::move(state.queue.front()))) {
+            refused(state);
             return;
         }
         state.queue.pop_front();
     }
+}
+
+void
+CrNetwork::refused(FlowState &state)
+{
+    // Header rejected: hardware tears the path down and retransmits
+    // later; younger packets wait behind, so order is preserved.
+    ++stats_.deliveryRetries;
+    if (state.drainScheduled)
+        return;
+    state.drainScheduled = true;
+    sim_.schedule(cfg_.rejectRetryDelay,
+                  [this, st = &state] { drain(*st); });
 }
 
 } // namespace msgsim

@@ -77,15 +77,20 @@ class CrNetwork : public Network
         bool drainScheduled = false;
     };
 
-    /** Enqueue an arrived packet and try to drain its flow. */
-    void arrive(FlowKey flow, Packet &&pkt);
+    /** A packet reached the destination edge of its flow. */
+    void arrive(Packet &&pkt);
 
-    /** Deliver queued packets of @p flow in order until one rejects. */
-    void drain(FlowKey flow);
+    /** Deliver @p state's queue in order until a packet is refused. */
+    void drain(FlowState &state);
+
+    /** The head of @p state was refused: count it, retry later. */
+    void refused(FlowState &state);
 
     Config cfg_;
     FatTree tree_;
     FaultInjector faults_;
+    /// Node-based, so a FlowState reference (held by a pending retry
+    /// closure) stays valid as flows are added.
     std::map<FlowKey, FlowState> flows_;
     std::map<FlowKey, Tick> lastArrival_;
     std::map<NodeId, Tick> lastDeparture_; ///< injection serialization

@@ -4,27 +4,16 @@ namespace msgsim
 {
 
 FaultAction
-FaultInjector::apply(Packet &pkt)
+FaultInjector::decide(const Packet &pkt)
 {
-    auto corrupt = [&] {
-        // Flip one bit of the first data word (or the header when the
-        // packet carries no data) and mark the packet so the NI-side
-        // CRC check fails deterministically.
-        if (!pkt.data.empty())
-            pkt.data[0] ^= 0x1u << (pkt.injectSeq % 32);
-        else
-            pkt.header ^= 0x1u;
-        pkt.corrupted = true;
-        ++corruptions_;
-        return FaultAction::Corrupt;
-    };
-
     if (scriptedDrops_.erase(pkt.injectSeq)) {
         ++drops_;
         return FaultAction::Drop;
     }
-    if (scriptedCorrupts_.erase(pkt.injectSeq))
-        return corrupt();
+    if (scriptedCorrupts_.erase(pkt.injectSeq)) {
+        ++corruptions_;
+        return FaultAction::Corrupt;
+    }
     if (scriptedDuplicates_.erase(pkt.injectSeq)) {
         ++duplications_;
         return FaultAction::Duplicate;
@@ -34,13 +23,34 @@ FaultInjector::apply(Packet &pkt)
         ++drops_;
         return FaultAction::Drop;
     }
-    if (cfg_.corruptRate > 0.0 && rng_.chance(cfg_.corruptRate))
-        return corrupt();
+    if (cfg_.corruptRate > 0.0 && rng_.chance(cfg_.corruptRate)) {
+        ++corruptions_;
+        return FaultAction::Corrupt;
+    }
     if (cfg_.duplicateRate > 0.0 && rng_.chance(cfg_.duplicateRate)) {
         ++duplications_;
         return FaultAction::Duplicate;
     }
     return FaultAction::None;
+}
+
+FaultAction
+FaultInjector::apply(Packet &pkt)
+{
+    const FaultAction action = decide(pkt);
+    if (action == FaultAction::Corrupt)
+        corrupt(pkt);
+    return action;
+}
+
+void
+FaultInjector::corrupt(Packet &pkt)
+{
+    if (!pkt.data.empty())
+        pkt.data[0] ^= 0x1u << (pkt.injectSeq % 32);
+    else
+        pkt.header ^= 0x1u;
+    pkt.corrupted = true;
 }
 
 } // namespace msgsim

@@ -56,10 +56,23 @@ class FaultInjector
     }
 
     /**
-     * Decide the fate of @p pkt and apply corruption in place.
-     * Scripted faults (by injectSeq) take precedence over rates.
+     * Decide the fate of @p pkt without touching it.  Scripted faults
+     * (by injectSeq) take precedence over rates.  Consumes the same
+     * RNG draws, scripts and counters as apply(), so a substrate that
+     * only needs the verdict (a fabric that retransmits on any hit)
+     * never copies the packet.
      */
+    FaultAction decide(const Packet &pkt);
+
+    /** decide(), then apply a Corrupt verdict to @p pkt in place. */
     FaultAction apply(Packet &pkt);
+
+    /**
+     * Corrupt @p pkt in place: flip one bit of the first data word
+     * (or the header when the packet carries no data) and mark the
+     * packet so the NI-side CRC check fails deterministically.
+     */
+    static void corrupt(Packet &pkt);
 
     /** Script a drop of the packet with global injection seq @p n. */
     void scriptDrop(std::uint64_t n) { scriptedDrops_.insert(n); }

@@ -1,6 +1,7 @@
 #include "net/network.hh"
 
 #include "hostprof/hostprof.hh"
+#include "net/fault.hh"
 #include "sim/log.hh"
 
 namespace msgsim
@@ -64,11 +65,7 @@ Network::gateDrop(const Packet &pkt)
 void
 Network::gateCorrupt(Packet &pkt)
 {
-    if (!pkt.data.empty())
-        pkt.data[0] ^= 0x1u << (pkt.injectSeq % 32);
-    else
-        pkt.header ^= 0x1u;
-    pkt.corrupted = true;
+    FaultInjector::corrupt(pkt);
     ++stats_.corrupted;
     trace(TraceEvent::Corrupt, pkt);
 }

@@ -110,6 +110,12 @@ class Network
      * Delivery sink: the destination NI.  Returns false when the NI
      * cannot accept the packet right now (receive queue full or, on
      * CR, resource-based header rejection).
+     *
+     * Refusal contract: a sink that returns false must leave the
+     * packet untouched (not moved from, not modified).  The
+     * substrates keep the refused packet in place and offer the same
+     * object again later, so a sink may only consume the packet once
+     * it has decided to accept it.
      */
     using DeliverFn = std::function<bool(Packet &&)>;
 
@@ -230,6 +236,39 @@ class Network
     bool presentToSink(Packet &&pkt);
 
     /**
+     * Packet carry pool.  A substrate parks a packet here while it is
+     * "on the wire" and schedules a closure that captures only
+     * `this` and the returned slot, which std::function stores
+     * without allocating.  The pool grows on first use (never at
+     * construction) and recycles slots, so steady-state carry is
+     * allocation-free.
+     */
+    std::uint32_t
+    park(Packet &&pkt)
+    {
+        if (freeSlots_.empty()) {
+            parked_.push_back(std::move(pkt));
+            // Size the free list with the pool, so unpark() never
+            // allocates: all pool growth is charged here.
+            freeSlots_.reserve(parked_.capacity());
+            return static_cast<std::uint32_t>(parked_.size() - 1);
+        }
+        const std::uint32_t slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        parked_[slot] = std::move(pkt);
+        return slot;
+    }
+
+    /** Take the packet parked in @p slot and free the slot. */
+    Packet
+    unpark(std::uint32_t slot)
+    {
+        Packet pkt = std::move(parked_[slot]);
+        freeSlots_.push_back(slot);
+        return pkt;
+    }
+
+    /**
      * A packet bound for @p dst left the fabric by delivery outside
      * presentToSink (nicam's on-NIC handler dispatch).
      */
@@ -268,6 +307,9 @@ class Network
     std::uint64_t nextInjectSeq_ = 0;
     std::map<std::tuple<NodeId, NodeId, int>, std::uint64_t>
         flowCounters_;
+    /// Packet carry pool (park/unpark): slots and recycled indices.
+    std::vector<Packet> parked_;
+    std::vector<std::uint32_t> freeSlots_;
 };
 
 } // namespace msgsim

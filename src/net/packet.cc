@@ -19,18 +19,15 @@ toString(HwTag tag)
 std::uint32_t
 Packet::computeCrc() const
 {
-    // FNV-1a over all payload words: not the CM-5's actual CRC
-    // polynomial, but an error-detecting hash with the same role.
+    // FNV-1a-style hash taken a word at a time: not the CM-5's CRC
+    // polynomial, but an error-detecting code with the same role.
+    // Each step h = (h ^ w) * p, with p odd, is a bijection of w for a
+    // fixed h and of h for a fixed w, so any change confined to one
+    // word (every single-bit error) always changes the result.
     std::uint32_t h = 0x811c9dc5u;
-    auto mix = [&h](std::uint32_t w) {
-        for (int i = 0; i < 4; ++i) {
-            h ^= (w >> (8 * i)) & 0xffu;
-            h *= 16777619u;
-        }
-    };
-    mix(header);
+    h = (h ^ header) * 16777619u;
     for (Word w : data)
-        mix(w);
+        h = (h ^ w) * 16777619u;
     return h;
 }
 

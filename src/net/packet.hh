@@ -57,7 +57,8 @@ struct Packet
     Word header = 0;           ///< messaging-layer header word
     std::vector<Word> data;    ///< n data words
 
-    /// CRC over header+data, computed at injection (hardware).
+    /// CRC over header+data, computed at injection (hardware).  Only
+    /// ever compared against computeCrc(); never serialised.
     std::uint32_t crc = 0;
     /// Set by the fault injector; detected by the receiving NI.
     bool corrupted = false;
@@ -86,7 +87,10 @@ struct Packet
     /** True when the stored CRC matches the contents. */
     bool checksumOk() const { return !corrupted && crc == computeCrc(); }
 
-    /** CRC32-like hash of header and data words. */
+    /**
+     * Word-at-a-time error-detecting hash of header and data words.
+     * Detects every error confined to a single word.
+     */
     std::uint32_t computeCrc() const;
 };
 

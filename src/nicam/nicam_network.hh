@@ -27,6 +27,7 @@
 #include <memory>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "net/fault.hh"
 #include "net/network.hh"
@@ -134,6 +135,8 @@ class NicamNetwork : public Network
     std::map<NodeId, std::map<TableKey, OffloadEntry>> tables_;
     std::map<NodeId, Tick> lastDeparture_; ///< injection serialization
     std::map<NodeId, Tick> lastArrival_;   ///< delivery serialization
+    /// arriveAtEdge's release buffer, kept to reuse its capacity.
+    std::vector<Packet> release_;
     std::uint64_t offloadHits_ = 0;
     std::uint64_t offloadMisses_ = 0;
     std::uint64_t offloadCrcDrops_ = 0;

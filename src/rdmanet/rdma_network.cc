@@ -1,7 +1,5 @@
 #include "rdmanet/rdma_network.hh"
 
-#include <memory>
-
 #include "hostprof/hostprof.hh"
 #include "sim/log.hh"
 
@@ -21,14 +19,11 @@ RdmaNetwork::injectImpl(Packet &&pkt)
     Tick latency = cfg_.baseLatency +
                    cfg_.hopLatency * tree_.hops(pkt.src, pkt.dst);
 
-    // Link-level reliability: probe the injector on a copy; every hit
-    // models a CRC-failed (or PFC-paused) link transfer retried by
-    // the adjacent switches.  The payload that finally crosses is
-    // intact, exactly once.
-    for (;;) {
-        Packet probe = pkt;
-        if (faults_.apply(probe) == FaultAction::None)
-            break;
+    // Link-level reliability: every injector verdict models a
+    // CRC-failed (or PFC-paused) link transfer retried by the adjacent
+    // switches.  Only the verdict is taken, never applied: the payload
+    // that finally crosses is intact, exactly once.
+    while (faults_.decide(pkt) != FaultAction::None) {
         ++stats_.hwRetries;
         trace(TraceEvent::HwRetry, pkt);
         latency += cfg_.linkRetryDelay;
@@ -58,43 +53,58 @@ RdmaNetwork::injectImpl(Packet &&pkt)
     }
     lastArrival_[flow] = arrival;
 
-    auto carried = std::make_shared<Packet>(std::move(pkt));
-    sim_.scheduleAt(arrival, [this, flow, carried]() mutable {
-        arrive(flow, std::move(*carried));
-    });
+    const std::uint32_t slot = park(std::move(pkt));
+    sim_.scheduleAt(arrival, [this, slot] { arrive(unpark(slot)); });
     return true;
 }
 
 void
-RdmaNetwork::arrive(FlowKey flow, Packet &&pkt)
+RdmaNetwork::arrive(Packet &&pkt)
 {
     hostprof::HostScope hs(hostprof::Site::RdmaDeliver);
-    flows_[flow].queue.push_back(std::move(pkt));
-    drain(flow);
+    FlowState &state =
+        flows_[FlowKey{pkt.src, pkt.dst, static_cast<int>(pkt.vnet)}];
+    if (!state.queue.empty()) {
+        state.queue.push_back(std::move(pkt));
+        drain(state);
+        return;
+    }
+    // Nothing queued ahead: present directly.  A refusing sink leaves
+    // the packet intact, so on refusal it is queued exactly as drain()
+    // would have left it.
+    if (!presentToSink(std::move(pkt))) {
+        state.queue.push_back(std::move(pkt));
+        refused(state);
+    }
 }
 
 void
-RdmaNetwork::drain(FlowKey flow)
+RdmaNetwork::drain(FlowState &state)
 {
     // RNR-retry closures re-enter here outside arrive().
     hostprof::HostScope hs(hostprof::Site::RdmaDeliver);
-    auto &state = flows_[flow];
     state.drainScheduled = false;
     while (!state.queue.empty()) {
-        if (!presentToSink(Packet(state.queue.front()))) {
-            // Receiver not ready (no posted receive / CQ full): the
-            // fabric NAKs and retries later; younger packets wait
-            // behind, so per-QP order is preserved.
-            ++stats_.deliveryRetries;
-            if (!state.drainScheduled) {
-                state.drainScheduled = true;
-                sim_.schedule(cfg_.rnrRetryDelay,
-                              [this, flow] { drain(flow); });
-            }
+        if (!presentToSink(std::move(state.queue.front()))) {
+            refused(state);
             return;
         }
         state.queue.pop_front();
     }
+}
+
+void
+RdmaNetwork::refused(FlowState &state)
+{
+    // Receiver not ready (no posted receive / CQ full): the fabric
+    // NAKs and retries later; younger packets wait behind, so per-QP
+    // order is preserved.
+    ++stats_.deliveryRetries;
+    if (state.drainScheduled)
+        return;
+    state.drainScheduled = true;
+    sim_.schedule(cfg_.rnrRetryDelay,
+                  [this, st = &state] { drain(*st); });
 }
 
 } // namespace msgsim

@@ -82,6 +82,33 @@ schedulePollLoop(RdmaStack &stack, NodeId id,
     });
 }
 
+/**
+ * Poll-mode receive: settle the fabric, then harvest @p id's CQ.  A
+ * run that overflows the CQ never settles on its own (the fabric
+ * keeps retrying the fragment the full CQ refused), so a round also
+ * ends at a new CQ-overflow stall, and the harvest reopens the CQ for
+ * the next round.  A run that fits settles and harvests once.
+ */
+void
+settleAndHarvest(RdmaStack &stack, NodeId id)
+{
+    RdmaNic &nic = stack.nic(id);
+    for (;;) {
+        const std::uint64_t stalls = nic.cqOverflowStalls();
+        const bool stalled = stack.sim().runUntil(
+            [&nic, stalls] { return nic.cqOverflowStalls() != stalls; },
+            10'000'000);
+        if (!stalled)
+            stack.settle();
+        {
+            FeatureScope fs(stack.node(id).acct(), Feature::BaseCost);
+            nic.pollCq();
+        }
+        if (!stalled)
+            return;
+    }
+}
+
 void
 fill(Node &node, Addr buf, std::uint32_t words, std::uint64_t seed)
 {
@@ -135,11 +162,7 @@ runRdmaSingle(RdmaStack &stack, const RdmaRunParams &params)
         stack.nic(params.src).postSend(qp, src_buf, n, 1);
     }
     if (!params.eventMode) {
-        stack.settle();
-        {
-            FeatureScope fs(dst.acct(), Feature::BaseCost);
-            stack.nic(params.dst).pollCq();
-        }
+        settleAndHarvest(stack, params.dst);
     } else {
         auto stopFlag = std::make_shared<bool>(false);
         schedulePollLoop(stack, params.dst, stopFlag, 8);
@@ -220,16 +243,8 @@ runRdmaAm4(RdmaStack &stack, const RdmaRunParams &params)
         stack.nic(params.src).postSend(qp, arg_buf, n, 1);
     }
     if (!params.eventMode) {
-        stack.settle();
-        {
-            FeatureScope fs(dst.acct(), Feature::BaseCost);
-            stack.nic(params.dst).pollCq(); // request in, reply out
-        }
-        stack.settle();
-        {
-            FeatureScope fs(src.acct(), Feature::BaseCost);
-            stack.nic(params.src).pollCq(); // reply + send completion
-        }
+        settleAndHarvest(stack, params.dst); // request in, reply out
+        settleAndHarvest(stack, params.src); // reply + send completion
     } else {
         auto stopFlag = std::make_shared<bool>(false);
         schedulePollLoop(stack, params.dst, stopFlag, 8);
@@ -294,11 +309,7 @@ runRdmaFinite(RdmaStack &stack, const RdmaRunParams &params)
         stack.nic(params.src).postSend(qp, src_buf, params.words, 1);
     }
     if (!params.eventMode) {
-        stack.settle();
-        {
-            FeatureScope fs(dst.acct(), Feature::BaseCost);
-            stack.nic(params.dst).pollCq();
-        }
+        settleAndHarvest(stack, params.dst);
     } else {
         auto stopFlag = std::make_shared<bool>(false);
         schedulePollLoop(stack, params.dst, stopFlag, 8);
@@ -374,11 +385,7 @@ runRdmaStream(RdmaStack &stack, const RdmaRunParams &params)
         }
     }
     if (!params.eventMode) {
-        stack.settle();
-        {
-            FeatureScope fs(dst.acct(), Feature::BaseCost);
-            stack.nic(params.dst).pollCq();
-        }
+        settleAndHarvest(stack, params.dst);
     } else {
         auto stopFlag = std::make_shared<bool>(false);
         schedulePollLoop(stack, params.dst, stopFlag, 8);

@@ -13,12 +13,16 @@
  * trajectory file (BENCH_throughput.json), labelled --bench-label.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "lab/reporter.hh"
 #include "lab/result_table.hh"
@@ -90,12 +94,43 @@ eat(const std::string &arg, const char *key, std::string &out)
     return true;
 }
 
+/**
+ * Parse all of @p v as a number of @p out's type.  False on an empty
+ * value, trailing junk, a sign on an unsigned field, overflow or a
+ * non-finite real.
+ */
+template <typename T>
+bool
+parseNumber(const std::string &v, T &out)
+{
+    if (v.empty() || std::isspace(static_cast<unsigned char>(v[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+        const double x = std::strtod(v.c_str(), &end);
+        if (errno != 0 || *end != '\0' || !std::isfinite(x))
+            return false;
+        out = x;
+    } else {
+        if (!std::isdigit(static_cast<unsigned char>(v[0])))
+            return false;
+        const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
+        if (errno != 0 || *end != '\0' ||
+            x > std::numeric_limits<T>::max())
+            return false;
+        out = static_cast<T>(x);
+    }
+    return true;
+}
+
 bool
 parse(int argc, char **argv, Options &opt)
 {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         std::string v;
+        bool numberOk = true;
         if (arg == "--help" || arg == "-h") {
             usage(stdout);
             std::exit(0);
@@ -110,23 +145,29 @@ parse(int argc, char **argv, Options &opt)
                    eat(arg, "--bench-out=", opt.benchOut) ||
                    eat(arg, "--bench-label=", opt.benchLabel)) {
         } else if (eat(arg, "--nodes=", v)) {
-            opt.nodes = static_cast<std::uint32_t>(std::stoul(v));
+            numberOk = parseNumber(v, opt.nodes);
         } else if (eat(arg, "--msgs=", v)) {
-            opt.msgs = static_cast<std::uint32_t>(std::stoul(v));
+            numberOk = parseNumber(v, opt.msgs);
         } else if (eat(arg, "--size=", v)) {
-            opt.size = static_cast<std::uint32_t>(std::stoul(v));
+            numberOk = parseNumber(v, opt.size);
         } else if (eat(arg, "--hot=", v)) {
-            opt.hot = std::stod(v);
+            numberOk = parseNumber(v, opt.hot);
         } else if (eat(arg, "--seed=", v)) {
-            opt.seed = std::stoull(v);
+            numberOk = parseNumber(v, opt.seed);
         } else if (eat(arg, "--jitter=", v)) {
-            opt.jitter = std::stoull(v);
+            numberOk = parseNumber(v, opt.jitter);
         } else if (eat(arg, "--inject-gap=", v)) {
-            opt.injectGap = std::stoull(v);
+            numberOk = parseNumber(v, opt.injectGap);
         } else if (eat(arg, "--deliver-gap=", v)) {
-            opt.deliverGap = std::stoull(v);
+            numberOk = parseNumber(v, opt.deliverGap);
         } else {
             std::fprintf(stderr, "msgsim-traffic: unknown flag '%s'\n",
+                         arg.c_str());
+            usage(stderr);
+            return false;
+        }
+        if (!numberOk) {
+            std::fprintf(stderr, "msgsim-traffic: bad number in '%s'\n",
                          arg.c_str());
             usage(stderr);
             return false;

@@ -87,9 +87,11 @@ TEST(Table1, IdenticalOnCrSubstrate)
 // Table 2 + Table 3: finite-sequence, multi-packet delivery.
 // ------------------------------------------------------------------
 
+// The table cases print as raw bytes in their test names, so they
+// must have no padding: `words` is 64-bit to keep every byte defined.
 struct FiniteCase
 {
-    std::uint32_t words;
+    std::uint64_t words;
     // Feature totals [src, dst]: base, buf, ord, ft; grand totals.
     std::uint64_t base_s, base_d, buf_s, buf_d, ord_s, ord_d, ft_s,
         ft_d, tot_s, tot_d;
@@ -105,7 +107,7 @@ TEST_P(FiniteTable, FeatureTotalsMatchPaper)
     Stack stack(cm5Config());
     FiniteXfer proto(stack);
     FiniteXferParams params;
-    params.words = c.words;
+    params.words = static_cast<std::uint32_t>(c.words);
     const auto res = proto.run(params);
     ASSERT_TRUE(res.dataOk);
 
@@ -218,7 +220,7 @@ cm5SwapConfig()
 
 struct StreamCase
 {
-    std::uint32_t words;
+    std::uint64_t words;  // 64-bit for the reason given at FiniteCase
     std::uint64_t base_s, base_d, ord_s, ord_d, ft_s, ft_d, tot_s,
         tot_d;
 };
@@ -233,7 +235,7 @@ TEST_P(StreamTable, FeatureTotalsMatchPaper)
     Stack stack(cm5SwapConfig());
     StreamProtocol proto(stack);
     StreamParams params;
-    params.words = c.words;
+    params.words = static_cast<std::uint32_t>(c.words);
     const auto res = proto.run(params);
     ASSERT_TRUE(res.dataOk);
     // The measurement condition held: exactly half out of order.

@@ -15,6 +15,8 @@
 #include "net/order.hh"
 #include "net/packet.hh"
 #include "net/topology.hh"
+#include "packet_match.hh"
+#include "sim/rng.hh"
 
 namespace msgsim
 {
@@ -32,6 +34,37 @@ TEST(Packet, CrcDetectsCorruption)
     EXPECT_TRUE(p.checksumOk());
     p.header ^= 1;
     EXPECT_FALSE(p.checksumOk());
+}
+
+TEST(Packet, CrcDetectsEverySingleBitFlip)
+{
+    // Each hash step is a bijection of the word for a fixed running
+    // state, so every error confined to one word is detected: all
+    // 32 x (1 + 128) single-bit flips of a full-size packet.
+    std::uint64_t state = 0x5eed;
+    std::vector<Word> words(128);
+    for (Word &w : words)
+        w = static_cast<Word>(splitMix64(state));
+    Packet p(2, 3, HwTag::XferData, 0xdeadbeefu, words);
+    p.seal();
+    ASSERT_TRUE(p.checksumOk());
+
+    int flips = 0;
+    int missed = 0;
+    auto flipEachBit = [&](Word &w) {
+        for (int bit = 0; bit < 32; ++bit) {
+            w ^= 0x1u << bit;
+            ++flips;
+            missed += p.checksumOk() ? 1 : 0;
+            w ^= 0x1u << bit;
+        }
+    };
+    flipEachBit(p.header);
+    for (Word &w : p.data)
+        flipEachBit(w);
+    EXPECT_EQ(flips, 4128);
+    EXPECT_EQ(missed, 0);
+    EXPECT_TRUE(p.checksumOk());
 }
 
 TEST(Packet, CorruptedFlagFailsChecksum)
@@ -193,6 +226,73 @@ TEST(FaultInjector, DuplicateRateRoughlyCalibrated)
                 0.01);
     EXPECT_EQ(fi.drops(), 0u);
     EXPECT_EQ(fi.corruptions(), 0u);
+}
+
+/** Rates and overlapping scripts: every verdict kind, both sources. */
+FaultInjector
+mixedInjector()
+{
+    FaultInjector::Config cfg;
+    cfg.dropRate = 0.1;
+    cfg.corruptRate = 0.1;
+    cfg.duplicateRate = 0.1;
+    cfg.seed = 77;
+    FaultInjector fi(cfg);
+    fi.scriptDrop(3);
+    fi.scriptCorrupt(5);
+    fi.scriptDuplicate(8);
+    fi.scriptCorrupt(13);
+    fi.scriptDrop(13);
+    return fi;
+}
+
+TEST(FaultInjector, DecideMatchesApply)
+{
+    FaultInjector deciding = mixedInjector();
+    FaultInjector applying = mixedInjector();
+    for (std::uint64_t i = 0; i < 4000; ++i) {
+        Packet p(0, 1, HwTag::UserAm, 0, {1, 2, 3, 4});
+        p.injectSeq = i;
+        p.seal();
+        Packet q = p;
+        ASSERT_EQ(deciding.decide(p), applying.apply(q)) << "seq " << i;
+    }
+    EXPECT_EQ(deciding.drops(), applying.drops());
+    EXPECT_EQ(deciding.corruptions(), applying.corruptions());
+    EXPECT_EQ(deciding.duplications(), applying.duplications());
+    EXPECT_GT(deciding.drops(), 0u);
+    EXPECT_GT(deciding.corruptions(), 0u);
+    EXPECT_GT(deciding.duplications(), 0u);
+}
+
+TEST(FaultInjector, DecideNeverModifiesThePacket)
+{
+    FaultInjector::Config cfg;
+    cfg.corruptRate = 1.0; // every verdict is a corruption
+    FaultInjector fi(cfg);
+    fi.scriptCorrupt(0);
+    fi.scriptDrop(1);
+    fi.scriptDuplicate(2);
+    for (const auto &data :
+         {std::vector<Word>{}, std::vector<Word>{7, 8, 9, 10}}) {
+        for (std::uint64_t seq = 0; seq < 4; ++seq) {
+            Packet p(0, 1, HwTag::Control, 0x55, data);
+            p.injectSeq = seq;
+            p.lineage = 9;
+            p.seal();
+            const Packet before = p;
+            EXPECT_NE(fi.decide(p), FaultAction::None);
+            EXPECT_TRUE(samePacket(p, before));
+            EXPECT_TRUE(p.checksumOk());
+        }
+        // The same verdict through apply() does corrupt in place.
+        Packet p(0, 1, HwTag::Control, 0x55, data);
+        p.seal();
+        const Packet before = p;
+        EXPECT_EQ(fi.apply(p), FaultAction::Corrupt);
+        EXPECT_FALSE(samePacket(p, before));
+        EXPECT_FALSE(p.checksumOk());
+    }
 }
 
 TEST(FaultInjector, DropScriptOutranksDuplicateScript)

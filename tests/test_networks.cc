@@ -3,16 +3,22 @@
  * Behavioural tests of the two routing substrates: the CM-5-like
  * network really delivers out of order, backpressures, and only
  * *detects* faults; the CR network really delivers in order, rejects
- * and retries in hardware, and corrects faults invisibly.
+ * and retries in hardware, and corrects faults invisibly.  Also the
+ * sink refusal contract: a refusing sink leaves the packet untouched,
+ * and the in-order fabrics redeliver it unchanged.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "cm5net/cm5_network.hh"
 #include "crnet/cr_network.hh"
+#include "ni/net_iface.hh"
+#include "packet_match.hh"
+#include "rdmanet/rdma_network.hh"
 #include "sim/event.hh"
 
 namespace msgsim
@@ -289,6 +295,114 @@ TEST(CrNetwork, IndependentFlowsDontBlockEachOther)
     reject0 = false;
     sim.run();
     ASSERT_EQ(got.size(), 2u);
+}
+
+// ----------------------------------------------------------------
+// Sink refusal contract (Network::DeliverFn).
+// ----------------------------------------------------------------
+
+Packet
+sealed(Packet p)
+{
+    p.seal();
+    return p;
+}
+
+TEST(SinkContract, NiRecvQueueFullRefusalLeavesPacketIntact)
+{
+    Simulator sim;
+    Cm5Network net(sim, Cm5Network::Config{});
+    NetIface::Config cfg;
+    cfg.recvCapacity = 2;
+    NetIface ni(1, net, cfg);
+    for (Word i = 0; i < 2; ++i)
+        ASSERT_TRUE(ni.hwDeliver(sealed(mkPacket(0, 1, i))));
+
+    Packet p = sealed(mkPacket(0, 1, 9));
+    p.injectSeq = 41;
+    p.lineage = 5;
+    const Packet before = p;
+    EXPECT_FALSE(ni.hwDeliver(std::move(p)));
+    EXPECT_TRUE(samePacket(p, before));
+    EXPECT_EQ(ni.recvRefusals(), 1u);
+}
+
+TEST(SinkContract, NiHeaderRejectionLeavesPacketIntact)
+{
+    Simulator sim;
+    CrNetwork net(sim, CrNetwork::Config{});
+    NetIface ni(1, net, NetIface::Config{});
+    ni.setAcceptFn([](const Packet &) { return false; });
+
+    Packet p = sealed(mkPacket(0, 1, 3));
+    const Packet before = p;
+    EXPECT_FALSE(ni.hwDeliver(std::move(p)));
+    EXPECT_TRUE(samePacket(p, before));
+    EXPECT_EQ(ni.acceptRefusals(), 1u);
+}
+
+template <typename Net>
+class InOrderRefusal : public ::testing::Test
+{
+};
+
+using InOrderFabrics = ::testing::Types<CrNetwork, RdmaNetwork>;
+TYPED_TEST_SUITE(InOrderRefusal, InOrderFabrics);
+
+TYPED_TEST(InOrderRefusal, RedeliversIdenticalPayloadInOrder)
+{
+    // Packet k is refused (k % 3) + 1 times before the sink takes it.
+    // Injected back to back (younger packets queue behind a refused
+    // one) and spaced out (each arrives at an empty flow).
+    for (const bool spaced : {false, true}) {
+        Simulator sim;
+        typename TypeParam::Config cfg;
+        cfg.nodes = 4;
+        TypeParam net(sim, cfg);
+
+        std::vector<Packet> got;
+        std::optional<Packet> lastRefused;
+        int refusalsLeft = -1;
+        std::uint64_t refusals = 0;
+        net.attach(1, [&](Packet &&p) {
+            if (lastRefused) {
+                // Offered again exactly as it was refused.
+                EXPECT_TRUE(samePacket(p, *lastRefused));
+                lastRefused.reset();
+            }
+            if (refusalsLeft < 0)
+                refusalsLeft = static_cast<int>(got.size() % 3) + 1;
+            if (refusalsLeft > 0) {
+                --refusalsLeft;
+                ++refusals;
+                lastRefused = p;
+                return false;
+            }
+            refusalsLeft = -1;
+            got.push_back(std::move(p));
+            return true;
+        });
+
+        const Word n = 24;
+        for (Word i = 0; i < n; ++i) {
+            net.inject(Packet(0, 1, HwTag::XferData, i,
+                              {i, ~i, i * 7, 0xc0de0000u + i}));
+            if (spaced)
+                sim.run();
+        }
+        sim.run();
+
+        ASSERT_EQ(got.size(), n) << "spaced=" << spaced;
+        for (Word i = 0; i < n; ++i) {
+            EXPECT_EQ(got[i].header, i);
+            EXPECT_EQ(got[i].data,
+                      (std::vector<Word>{i, ~i, i * 7, 0xc0de0000u + i}));
+            EXPECT_EQ(got[i].injectSeq, i);
+            EXPECT_TRUE(got[i].checksumOk());
+        }
+        EXPECT_EQ(net.stats().deliveryRetries, refusals);
+        EXPECT_EQ(net.stats().delivered, static_cast<std::uint64_t>(n));
+    }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "packet_match.hh"
 #include "prof/profile.hh"
 #include "rdmanet/rdma_network.hh"
 #include "rdmanet/rdma_stack.hh"
@@ -289,6 +290,86 @@ TEST(RdmaNic, ReceiverCqOverflowStallsTheFabric)
     EXPECT_EQ(recvDone, static_cast<int>(messages));
     for (std::uint32_t i = 0; i < messages * n; ++i)
         EXPECT_EQ(dst.mem().read(dbuf + i), 0xfeed00u + i);
+}
+
+TEST(RdmaNic, StreamLongerThanTheCqCompletes)
+{
+    // 256 single-fragment messages against the default 64-entry CQ:
+    // the receiver must harvest between rounds, in both modes.
+    for (const bool eventMode : {false, true}) {
+        RdmaStackConfig cfg;
+        ASSERT_EQ(cfg.cqCapacity, 64u);
+        RdmaStack stack(cfg);
+        RdmaRunParams p;
+        p.words = 1024;
+        p.eventMode = eventMode;
+        const RunResult res = runRdmaStream(stack, p);
+        EXPECT_TRUE(res.dataOk) << "eventMode=" << eventMode;
+        EXPECT_EQ(res.packets, 256u);
+        EXPECT_EQ(stack.net().stats().dropped, 0u);
+    }
+}
+
+// ----------------------------------------------------------------
+// Sink refusal contract: a refused fragment is left untouched, so
+// the fabric can offer the very same packet again.
+// ----------------------------------------------------------------
+
+Packet
+fragment(Word qp, Word total, std::vector<Word> words)
+{
+    Packet p(0, 1, HwTag::XferData, hdr::pack(qp, total),
+             std::move(words));
+    p.injectSeq = 17;
+    p.seal();
+    return p;
+}
+
+TEST(RdmaNic, RnrRefusalLeavesPacketIntact)
+{
+    RdmaStack stack(RdmaStackConfig{});
+    const Word qp = stack.connectQp(0, 1);
+    RdmaNic &nic = stack.nic(1);
+
+    Packet p = fragment(qp, 4, {1, 2, 3, 4});
+    const Packet before = p;
+    EXPECT_FALSE(nic.nicDeliver(std::move(p))); // no receive posted
+    EXPECT_TRUE(samePacket(p, before));
+    EXPECT_EQ(nic.rnrNoRecv(), 1u);
+
+    // Once a receive is posted, the same packet lands.
+    const Addr buf = stack.node(1).mem().alloc(4);
+    nic.regMr(buf, 4);
+    nic.postRecv(qp, buf, 4, 0);
+    EXPECT_TRUE(nic.nicDeliver(std::move(p)));
+    EXPECT_EQ(stack.node(1).mem().read(buf + 3), 4u);
+}
+
+TEST(RdmaNic, CqFullRefusalLeavesPacketIntact)
+{
+    RdmaStackConfig cfg;
+    cfg.cqCapacity = 2;
+    RdmaStack stack(cfg);
+    const Word qp = stack.connectQp(0, 1);
+    RdmaNic &nic = stack.nic(1);
+    const Addr buf = stack.node(1).mem().alloc(12);
+    nic.regMr(buf, 12);
+    for (Word m = 0; m < 3; ++m)
+        nic.postRecv(qp, buf + m * 4, 4, m);
+    for (Word m = 0; m < 2; ++m)
+        ASSERT_TRUE(nic.nicDeliver(fragment(qp, 4, {m, m, m, m})));
+    ASSERT_EQ(nic.cqDepth(), 2u);
+
+    Packet p = fragment(qp, 4, {7, 8, 9, 10});
+    const Packet before = p;
+    EXPECT_FALSE(nic.nicDeliver(std::move(p))); // CQ full
+    EXPECT_TRUE(samePacket(p, before));
+    EXPECT_EQ(nic.cqOverflowStalls(), 1u);
+
+    // Harvesting reopens the CQ; the same packet then lands.
+    EXPECT_EQ(nic.pollCq(), 2);
+    EXPECT_TRUE(nic.nicDeliver(std::move(p)));
+    EXPECT_EQ(stack.node(1).mem().read(buf + 8), 7u);
 }
 
 // ----------------------------------------------------------------
