@@ -1,71 +1,14 @@
 /**
  * @file
- * Ablation: the price of software fault recovery on a
- * detection-only network versus hardware packet-level fault
- * tolerance.  Sweeps the packet drop rate in event-driven mode: the
- * CMAM stream retransmits from its source buffer on timeout; the CR
- * substrate retries in hardware, invisible to software.  Quantifies
- * §2.2's "limited fault-handling" cost beyond the paper's static
- * accounting.
+ * Ablation: software fault recovery (CMAM/CM-5) vs hardware recovery
+ * (HL/CR) across packet drop rates.  Thin wrapper over the registered
+ * lab experiment in src/lab/experiments.cc (X2).
  */
 
-#include <cstdio>
-
-#include "bench_common.hh"
-#include "hlam/hl_stack.hh"
-#include "protocols/stream.hh"
-
-using namespace msgsim;
-using namespace msgsim::bench;
+#include "lab/bench_main.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
-    banner("Fault-rate sweep: 1024-word stream, event mode "
-           "(CMAM/CM-5 vs high-level/CR)");
-    std::printf("  %8s | %10s %8s %8s %9s | %10s %9s\n", "drop",
-                "cmam instr", "retx", "dups", "elapsed", "hl instr",
-                "hw retry");
-    for (double rate : {0.0, 0.02, 0.05, 0.10, 0.20}) {
-        StackConfig cfg = paperCm5();
-        cfg.faults.dropRate = rate;
-        cfg.faults.seed = 404;
-        Stack cm5(cfg);
-        StreamProtocol proto(cm5);
-        StreamParams p;
-        p.words = 1024;
-        p.eventMode = true;
-        p.retxTimeout = 800;
-        p.maxRetx = 4096;
-        const auto rc = proto.run(p);
-
-        HlStackConfig hcfg;
-        hcfg.faults.dropRate = rate;
-        hcfg.faults.seed = 404;
-        HlStack hl(hcfg);
-        HlStreamParams hp;
-        hp.words = 1024;
-        hp.eventMode = true;
-        const auto rh = runHlStream(hl, hp);
-
-        std::printf("  %7.0f%% | %10llu %8llu %8llu %9llu | %10llu "
-                    "%9llu%s%s\n",
-                    rate * 100,
-                    static_cast<unsigned long long>(
-                        rc.counts.paperTotal()),
-                    static_cast<unsigned long long>(
-                        rc.retransmissions),
-                    static_cast<unsigned long long>(rc.duplicates),
-                    static_cast<unsigned long long>(rc.elapsed),
-                    static_cast<unsigned long long>(
-                        rh.counts.paperTotal()),
-                    static_cast<unsigned long long>(
-                        hl.machine().network().stats().hwRetries),
-                    rc.dataOk ? "" : "  [CMAM INTEGRITY FAILED]",
-                    rh.dataOk ? "" : "  [HL INTEGRITY FAILED]");
-    }
-    std::printf("\nshape: software recovery cost (and latency) grows "
-                "with the drop rate; the HL software bill stays flat "
-                "while the hardware absorbs the retries\n");
-    return 0;
+    return msgsim::lab::labBenchMain(argc, argv, {"X2"});
 }

@@ -23,6 +23,7 @@
 #include "check/explorer.hh"
 #include "check/replay.hh"
 #include "check/shrink.hh"
+#include "core/parse_number.hh"
 #include "prof/lineage.hh"
 #include "sim/obs_cli.hh"
 
@@ -101,8 +102,9 @@ parseCli(int argc, char **argv, CliOptions &cli)
         auto valueOf = [&arg](const char *prefix) {
             return arg.substr(std::strlen(prefix));
         };
-        auto intOf = [&](const char *prefix) {
-            return std::atoll(valueOf(prefix).c_str());
+        bool numberOk = true;
+        auto numberOf = [&](const char *prefix, auto &field) {
+            numberOk = parseNumber(valueOf(prefix), field);
         };
         if (arg == "--help" || arg == "-h") {
             usage(stdout);
@@ -111,62 +113,43 @@ parseCli(int argc, char **argv, CliOptions &cli)
             cli.scenario.protocol = valueOf("--protocol=");
         } else if (arg.rfind("--substrate=", 0) == 0) {
             const std::string s = valueOf("--substrate=");
-            if (s == "cm5")
-                cli.scenario.substrate = Substrate::Cm5;
-            else if (s == "cr")
-                cli.scenario.substrate = Substrate::Cr;
-            else if (s == "rdma")
-                cli.scenario.substrate = Substrate::Rdma;
-            else if (s == "nicam")
-                cli.scenario.substrate = Substrate::Nicam;
-            else {
+            if (!parseSubstrate(s, cli.scenario.substrate)) {
                 std::fprintf(stderr,
                              "error: unknown substrate '%s'\n",
                              s.c_str());
                 return false;
             }
         } else if (arg.rfind("--nodes=", 0) == 0) {
-            cli.scenario.nodes =
-                static_cast<std::uint32_t>(intOf("--nodes="));
+            numberOf("--nodes=", cli.scenario.nodes);
         } else if (arg.rfind("--packets=", 0) == 0) {
-            cli.scenario.packets =
-                static_cast<std::uint32_t>(intOf("--packets="));
+            numberOf("--packets=", cli.scenario.packets);
         } else if (arg.rfind("--group-ack=", 0) == 0) {
-            cli.scenario.groupAck =
-                static_cast<int>(intOf("--group-ack="));
+            numberOf("--group-ack=", cli.scenario.groupAck);
         } else if (arg.rfind("--faults=", 0) == 0) {
-            cli.scenario.faults =
-                static_cast<int>(intOf("--faults="));
+            numberOf("--faults=", cli.scenario.faults);
         } else if (arg.rfind("--fault-kinds=", 0) == 0) {
-            cli.scenario.faultKinds =
-                static_cast<unsigned>(intOf("--fault-kinds="));
+            numberOf("--fault-kinds=", cli.scenario.faultKinds);
         } else if (arg == "--bug") {
             cli.scenario.bugAckBeforeInsert = true;
         } else if (arg.rfind("--streams=", 0) == 0) {
-            cli.scenario.streams =
-                static_cast<std::uint32_t>(intOf("--streams="));
+            numberOf("--streams=", cli.scenario.streams);
         } else if (arg.rfind("--window=", 0) == 0) {
-            cli.scenario.window =
-                static_cast<int>(intOf("--window="));
+            numberOf("--window=", cli.scenario.window);
         } else if (arg.rfind("--wire-corrupt-every=", 0) == 0) {
-            cli.scenario.wireCorruptEvery =
-                static_cast<std::uint32_t>(
-                    intOf("--wire-corrupt-every="));
+            numberOf("--wire-corrupt-every=",
+                     cli.scenario.wireCorruptEvery);
         } else if (arg == "--bug-wire-reset") {
             cli.scenario.bugWireResetDeliver = true;
         } else if (arg.rfind("--depth=", 0) == 0) {
-            cli.limits.depth = static_cast<int>(intOf("--depth="));
+            numberOf("--depth=", cli.limits.depth);
         } else if (arg.rfind("--budget=", 0) == 0) {
-            cli.limits.budget =
-                static_cast<std::uint64_t>(intOf("--budget="));
+            numberOf("--budget=", cli.limits.budget);
         } else if (arg.rfind("--max-steps=", 0) == 0) {
-            cli.limits.maxSteps =
-                static_cast<std::uint64_t>(intOf("--max-steps="));
+            numberOf("--max-steps=", cli.limits.maxSteps);
         } else if (arg.rfind("--walks=", 0) == 0) {
-            cli.limits.walks = static_cast<int>(intOf("--walks="));
+            numberOf("--walks=", cli.limits.walks);
         } else if (arg.rfind("--seed=", 0) == 0) {
-            cli.limits.seed =
-                static_cast<std::uint64_t>(intOf("--seed="));
+            numberOf("--seed=", cli.limits.seed);
         } else if (arg.rfind("--json-out=", 0) == 0) {
             cli.jsonOut = valueOf("--json-out=");
         } else if (arg.rfind("--ce-out=", 0) == 0) {
@@ -177,6 +160,12 @@ parseCli(int argc, char **argv, CliOptions &cli)
             cli.quiet = true;
         } else {
             std::fprintf(stderr, "error: unknown option '%s'\n",
+                         arg.c_str());
+            usage(stderr);
+            return false;
+        }
+        if (!numberOk) {
+            std::fprintf(stderr, "error: bad number in '%s'\n",
                          arg.c_str());
             usage(stderr);
             return false;

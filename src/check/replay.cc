@@ -40,15 +40,7 @@ scenarioFromJson(const Json &j, ScenarioConfig &sc,
     }
     sc.protocol = p->asString();
     if (const Json *s = j.find("substrate")) {
-        if (s->asString() == "cr")
-            sc.substrate = Substrate::Cr;
-        else if (s->asString() == "cm5")
-            sc.substrate = Substrate::Cm5;
-        else if (s->asString() == "rdma")
-            sc.substrate = Substrate::Rdma;
-        else if (s->asString() == "nicam")
-            sc.substrate = Substrate::Nicam;
-        else {
+        if (!parseSubstrate(s->asString(), sc.substrate)) {
             error = "unknown substrate '" + s->asString() + "'";
             return false;
         }

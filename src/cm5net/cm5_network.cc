@@ -7,7 +7,15 @@ namespace msgsim
 {
 
 Cm5Network::Cm5Network(Simulator &sim, const Config &cfg)
-    : Network(sim), cfg_(cfg), tree_(cfg.nodes, cfg.arity),
+    : Cm5Network(sim, cfg, hostprof::Site::Cm5Route,
+                 hostprof::Site::Cm5Deliver)
+{
+}
+
+Cm5Network::Cm5Network(Simulator &sim, const Config &cfg,
+                       hostprof::Site route, hostprof::Site deliver)
+    : Network(sim), cfg_(cfg), routeSite_(route),
+      deliverSite_(deliver), tree_(cfg.nodes, arity),
       faults_(cfg.faults), rng_(cfg.seed)
 {
     if (!cfg_.orderFactory)
@@ -38,7 +46,7 @@ Cm5Network::injectImpl(Packet &&pkt)
       case FaultAction::Corrupt:
         ++stats_.corrupted;
         trace(TraceEvent::Corrupt, pkt);
-        break; // travels on; the NI's CRC check will reject it
+        break; // travels on; the edge's CRC check will reject it
       case FaultAction::Duplicate:
         // A ghost copy rides the network alongside the original
         // (speculative adaptive retry): route a clone independently,
@@ -59,9 +67,8 @@ Cm5Network::injectImpl(Packet &&pkt)
 void
 Cm5Network::routeToEdge(Packet &&pkt)
 {
-    hostprof::HostScope hs(hostprof::Site::Cm5Route);
-    Tick latency = cfg_.baseLatency +
-                   cfg_.hopLatency * tree_.hops(pkt.src, pkt.dst);
+    hostprof::HostScope hs(routeSite_);
+    Tick latency = baseLatency + hopLatency * tree_.hops(pkt.src, pkt.dst);
     if (cfg_.maxJitter > 0)
         latency += rng_.below(cfg_.maxJitter + 1);
 
@@ -92,7 +99,7 @@ Cm5Network::routeToEdge(Packet &&pkt)
 void
 Cm5Network::arriveAtEdge(Packet &&pkt)
 {
-    hostprof::HostScope hs(hostprof::Site::Cm5Deliver);
+    hostprof::HostScope hs(deliverSite_);
     auto &policy =
         policyFor({pkt.src, pkt.dst, static_cast<int>(pkt.vnet)});
     // Reuse the member release buffer, swapped out while in use: a
@@ -112,14 +119,14 @@ Cm5Network::tryDeliver(Packet &&pkt)
 {
     // Retry closures re-enter here outside arriveAtEdge, so the
     // delivery scope opens here too (same-site nesting is fine).
-    hostprof::HostScope hs(hostprof::Site::Cm5Deliver);
-    if (presentToSink(std::move(pkt)))
+    hostprof::HostScope hs(deliverSite_);
+    if (consumeAtEdge(pkt) || presentToSink(std::move(pkt)))
         return;
     // Sink full: the packet occupies network buffers and is offered
     // again later — backpressure.
     ++stats_.deliveryRetries;
     const std::uint32_t slot = park(std::move(pkt));
-    sim_.schedule(cfg_.retryDelay, [this, slot] { tryDeliver(unpark(slot)); });
+    sim_.schedule(retryDelay, [this, slot] { tryDeliver(unpark(slot)); });
 }
 
 void

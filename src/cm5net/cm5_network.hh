@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "hostprof/hostprof.hh"
 #include "net/fault.hh"
 #include "net/network.hh"
 #include "net/order.hh"
@@ -48,11 +49,7 @@ class Cm5Network : public Network
     struct Config
     {
         std::uint32_t nodes = 4;     ///< leaf node count
-        std::uint32_t arity = 4;     ///< fat-tree arity (CM-5: 4)
-        Tick baseLatency = 10;       ///< fixed injection-to-edge time
-        Tick hopLatency = 2;         ///< per switch-to-switch hop
         Tick maxJitter = 0;          ///< random extra latency (OOO source)
-        Tick retryDelay = 8;         ///< redelivery period when sink full
         /// Link-bandwidth model: minimum spacing between packets
         /// leaving one node (0 = infinite injection bandwidth).
         Tick injectGap = 0;
@@ -63,6 +60,11 @@ class Cm5Network : public Network
         FaultInjector::Config faults;
         OrderPolicyFactory orderFactory; ///< default: FIFO
     };
+
+    static constexpr std::uint32_t arity = 4; ///< fat-tree arity (CM-5)
+    static constexpr Tick baseLatency = 10;   ///< injection-to-edge time
+    static constexpr Tick hopLatency = 2;     ///< per switch-to-switch hop
+    static constexpr Tick retryDelay = 8;     ///< redelivery when sink full
 
     Cm5Network(Simulator &sim, const Config &cfg);
 
@@ -82,7 +84,23 @@ class Cm5Network : public Network
     FaultInjector &faults() { return faults_; }
 
   protected:
+    /**
+     * A CM-5 fabric whose routing and edge delivery are charged to the
+     * host-profiler sites @p route and @p deliver (subclasses that
+     * change only the host/NIC edge keep their own sites).
+     */
+    Cm5Network(Simulator &sim, const Config &cfg, hostprof::Site route,
+               hostprof::Site deliver);
+
     bool injectImpl(Packet &&pkt) override;
+
+    /**
+     * Destination-edge hook, run on every delivery attempt before the
+     * packet is offered to the sink.  Returns true when the edge
+     * consumed the packet (nicam's on-NIC dispatch); the plain CM-5
+     * edge has no logic of its own.
+     */
+    virtual bool consumeAtEdge(const Packet &) { return false; }
 
   private:
     using FlowKey = std::tuple<NodeId, NodeId, int>;
@@ -100,6 +118,8 @@ class Cm5Network : public Network
     void tryDeliver(Packet &&pkt);
 
     Config cfg_;
+    hostprof::Site routeSite_;
+    hostprof::Site deliverSite_;
     FatTree tree_;
     FaultInjector faults_;
     Rng rng_;

@@ -7,7 +7,15 @@ namespace msgsim
 {
 
 CrNetwork::CrNetwork(Simulator &sim, const Config &cfg)
-    : Network(sim), cfg_(cfg), tree_(cfg.nodes, cfg.arity),
+    : CrNetwork(sim, cfg, hostprof::Site::CrRoute,
+                hostprof::Site::CrDeliver)
+{
+}
+
+CrNetwork::CrNetwork(Simulator &sim, const Config &cfg,
+                     hostprof::Site route, hostprof::Site deliver)
+    : Network(sim), cfg_(cfg), routeSite_(route),
+      deliverSite_(deliver), tree_(cfg.nodes, arity),
       faults_(cfg.faults)
 {
 }
@@ -15,9 +23,8 @@ CrNetwork::CrNetwork(Simulator &sim, const Config &cfg)
 bool
 CrNetwork::injectImpl(Packet &&pkt)
 {
-    hostprof::HostScope hs(hostprof::Site::CrRoute);
-    Tick latency = cfg_.baseLatency +
-                   cfg_.hopLatency * tree_.hops(pkt.src, pkt.dst);
+    hostprof::HostScope hs(routeSite_);
+    Tick latency = baseLatency + hopLatency * tree_.hops(pkt.src, pkt.dst);
 
     // Packet-level fault tolerance: every injector verdict (drop,
     // corruption, or a would-be duplicate) models a killed-and-
@@ -26,7 +33,7 @@ CrNetwork::injectImpl(Packet &&pkt)
     while (faults_.decide(pkt) != FaultAction::None) {
         ++stats_.hwRetries;
         trace(TraceEvent::HwRetry, pkt);
-        latency += cfg_.hwRetryDelay;
+        latency += hwRetryDelay;
     }
 
     // Link-bandwidth serialization at both endpoints.
@@ -61,7 +68,7 @@ CrNetwork::injectImpl(Packet &&pkt)
 void
 CrNetwork::arrive(Packet &&pkt)
 {
-    hostprof::HostScope hs(hostprof::Site::CrDeliver);
+    hostprof::HostScope hs(deliverSite_);
     FlowState &state =
         flows_[FlowKey{pkt.src, pkt.dst, static_cast<int>(pkt.vnet)}];
     if (!state.queue.empty()) {
@@ -82,7 +89,7 @@ void
 CrNetwork::drain(FlowState &state)
 {
     // Reject-retry closures re-enter here outside arrive().
-    hostprof::HostScope hs(hostprof::Site::CrDeliver);
+    hostprof::HostScope hs(deliverSite_);
     state.drainScheduled = false;
     while (!state.queue.empty()) {
         if (!presentToSink(std::move(state.queue.front()))) {
@@ -102,7 +109,7 @@ CrNetwork::refused(FlowState &state)
     if (state.drainScheduled)
         return;
     state.drainScheduled = true;
-    sim_.schedule(cfg_.rejectRetryDelay,
+    sim_.schedule(rejectRetryDelay,
                   [this, st = &state] { drain(*st); });
 }
 

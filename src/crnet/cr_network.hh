@@ -27,6 +27,7 @@
 #include <tuple>
 #include <utility>
 
+#include "hostprof/hostprof.hh"
 #include "net/fault.hh"
 #include "net/network.hh"
 #include "net/topology.hh"
@@ -43,15 +44,16 @@ class CrNetwork : public Network
     struct Config
     {
         std::uint32_t nodes = 4;   ///< leaf node count
-        std::uint32_t arity = 4;   ///< fat-tree arity
-        Tick baseLatency = 10;     ///< fixed injection-to-edge time
-        Tick hopLatency = 2;       ///< per switch-to-switch hop
-        Tick hwRetryDelay = 6;     ///< path teardown + retransmit time
-        Tick rejectRetryDelay = 12;///< retry period after header reject
         Tick injectGap = 0;        ///< link-bandwidth: per-source spacing
         Tick deliverGap = 0;       ///< link-bandwidth: per-dest spacing
         FaultInjector::Config faults; ///< faults corrected in hardware
     };
+
+    static constexpr std::uint32_t arity = 4; ///< fat-tree arity
+    static constexpr Tick baseLatency = 10;   ///< injection-to-edge time
+    static constexpr Tick hopLatency = 2;     ///< per switch-to-switch hop
+    static constexpr Tick hwRetryDelay = 6;   ///< teardown + retransmit
+    static constexpr Tick rejectRetryDelay = 12; ///< after header reject
 
     CrNetwork(Simulator &sim, const Config &cfg);
 
@@ -66,6 +68,14 @@ class CrNetwork : public Network
     FaultInjector &faults() { return faults_; }
 
   protected:
+    /**
+     * A CR fabric whose routing and edge delivery are charged to the
+     * host-profiler sites @p route and @p deliver (subclasses that
+     * change only the host/NIC edge keep their own sites).
+     */
+    CrNetwork(Simulator &sim, const Config &cfg, hostprof::Site route,
+              hostprof::Site deliver);
+
     bool injectImpl(Packet &&pkt) override;
 
   private:
@@ -87,6 +97,8 @@ class CrNetwork : public Network
     void refused(FlowState &state);
 
     Config cfg_;
+    hostprof::Site routeSite_;
+    hostprof::Site deliverSite_;
     FatTree tree_;
     FaultInjector faults_;
     /// Node-based, so a FlowState reference (held by a pending retry

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "cm5net/cm5_network.hh"
+#include "core/parse_number.hh"
 #include "crnet/cr_network.hh"
 #include "nicam/nicam_network.hh"
 #include "rdmanet/rdma_network.hh"
@@ -96,17 +97,16 @@ parse(int argc, char **argv, Options &opt)
         auto valueOf = [&arg](const char *prefix) {
             return arg.substr(std::strlen(prefix));
         };
+        bool numberOk = true;
         if (arg == "--help" || arg == "-h") {
             usage(stdout);
             std::exit(0);
         } else if (arg.rfind("--workload=", 0) == 0) {
             opt.workload = valueOf("--workload=");
         } else if (arg.rfind("--packets=", 0) == 0) {
-            opt.packets = std::strtoull(
-                valueOf("--packets=").c_str(), nullptr, 10);
+            numberOk = parseNumber(valueOf("--packets="), opt.packets);
         } else if (arg.rfind("--words=", 0) == 0) {
-            opt.words = static_cast<std::uint32_t>(std::strtoul(
-                valueOf("--words=").c_str(), nullptr, 10));
+            numberOk = parseNumber(valueOf("--words="), opt.words);
         } else if (arg == "--hw") {
             opt.hw = true;
         } else if (arg == "--smoke") {
@@ -122,6 +122,13 @@ parse(int argc, char **argv, Options &opt)
         } else {
             std::fprintf(stderr,
                          "msgsim-selfprof: unknown argument '%s'\n",
+                         arg.c_str());
+            usage(stderr);
+            return false;
+        }
+        if (!numberOk) {
+            std::fprintf(stderr,
+                         "msgsim-selfprof: bad number in '%s'\n",
                          arg.c_str());
             usage(stderr);
             return false;

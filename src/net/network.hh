@@ -19,15 +19,18 @@
  *  - CrNetwork: in-order delivery, deadlock freedom independent of
  *    packet acceptance (header rejection + hardware retransmission),
  *    packet-level fault tolerance (hardware retry);
- *  - RdmaNetwork: CR-like guarantees per queue pair, plus zero-copy
- *    DMA into registered regions and host-polled completion queues;
- *  - NicamNetwork: CM-5-like unreliable/unordered fabric whose NIC
- *    runs registered AM handlers itself (bounded on-NIC handler
+ *  - RdmaNetwork: a CrNetwork subclass (the CR guarantees, read per
+ *    queue pair) that adds the zero-copy and completion-queue bits;
+ *    the verbs machinery itself lives in the RdmaNic host layer;
+ *  - NicamNetwork: a Cm5Network subclass whose destination-edge hook
+ *    runs registered AM handlers on the NIC (bounded on-NIC handler
  *    table, host-dispatch fallback on miss).
  *
- * The model checker reads the first three bits (scheduling and fault
- * choices); the last three are capability advertisements consumed by
- * the host layers and the differential profiler.
+ * So there are two fabrics, not four: rdma and nicam change only the
+ * host/NIC edge, and charge their host time to their own hostprof
+ * sites.  The model checker reads the first three bits (scheduling
+ * and fault choices); the last three are capability advertisements
+ * consumed by the host layers and the differential profiler.
  */
 
 #ifndef MSGSIM_NET_NETWORK_HH

@@ -3,7 +3,8 @@
  * NIC-offloaded active-message substrate.
  *
  * The fabric is the CM-5's (out of order, finite-buffered,
- * detection-only) — what changes is the *destination edge*: the NIC
+ * detection-only), so NicamNetwork is a Cm5Network; what changes is
+ * the *destination edge* (Cm5Network::consumeAtEdge): the NIC
  * carries a bounded handler table, and a packet whose (tag, selector)
  * matches an entry is dispatched on the NIC itself (the
  * network-accelerated active-message model of arXiv 2509.07431).
@@ -24,16 +25,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <tuple>
 #include <utility>
-#include <vector>
 
-#include "net/fault.hh"
-#include "net/network.hh"
-#include "net/order.hh"
-#include "net/topology.hh"
-#include "sim/rng.hh"
+#include "cm5net/cm5_network.hh"
 
 namespace msgsim
 {
@@ -41,24 +35,12 @@ namespace msgsim
 /**
  * CM-5-style fabric with an on-NIC handler table at each edge.
  */
-class NicamNetwork : public Network
+class NicamNetwork : public Cm5Network
 {
   public:
-    struct Config
+    struct Config : Cm5Network::Config
     {
-        std::uint32_t nodes = 4;     ///< leaf node count
-        std::uint32_t arity = 4;     ///< fat-tree arity
-        Tick baseLatency = 10;       ///< fixed injection-to-edge time
-        Tick hopLatency = 2;         ///< per switch-to-switch hop
-        Tick maxJitter = 0;          ///< random extra latency (OOO source)
-        Tick retryDelay = 8;         ///< redelivery period when sink full
-        Tick injectGap = 0;          ///< link bandwidth: source spacing
-        Tick deliverGap = 0;         ///< link bandwidth: dest spacing
-        double injectBusyRate = 0.0; ///< P(injection port busy) per try
-        std::uint64_t seed = 0xc0ffeeULL;
-        int maxOffloadEntries = 8;   ///< on-NIC handler-table size
-        FaultInjector::Config faults;
-        OrderPolicyFactory orderFactory; ///< default: FIFO
+        int maxOffloadEntries = 8; ///< on-NIC handler-table size
     };
 
     /**
@@ -72,15 +54,10 @@ class NicamNetwork : public Network
     NetFeatures
     features() const override
     {
-        NetFeatures f; // fabric properties are the CM-5's
+        NetFeatures f = Cm5Network::features();
         f.offloadDispatch = true;
         return f;
     }
-
-    void flushHeldPackets() override;
-
-    const FatTree &topology() const { return tree_; }
-    FaultInjector &faults() { return faults_; }
 
     /**
      * Install an on-NIC handler at @p dst for packets whose hardware
@@ -108,10 +85,10 @@ class NicamNetwork : public Network
     int offloadEntries(NodeId dst) const;
 
   protected:
-    bool injectImpl(Packet &&pkt) override;
+    /** NIC-table lookup; a miss falls through to the sink. */
+    bool consumeAtEdge(const Packet &pkt) override;
 
   private:
-    using FlowKey = std::tuple<NodeId, NodeId, int>;
     using TableKey = std::pair<int, Word>; ///< (tag, selector)
 
     struct OffloadEntry
@@ -120,23 +97,8 @@ class NicamNetwork : public Network
         std::uint64_t hits = 0;
     };
 
-    OrderPolicy &policyFor(const FlowKey &flow);
-    void routeToEdge(Packet &&pkt);
-    void arriveAtEdge(Packet &&pkt);
-
-    /** NIC-table lookup, then the normal sink path on a miss. */
-    void tryDeliver(Packet &&pkt);
-
-    Config cfg_;
-    FatTree tree_;
-    FaultInjector faults_;
-    Rng rng_;
-    std::map<FlowKey, std::unique_ptr<OrderPolicy>> policies_;
+    int maxOffloadEntries_;
     std::map<NodeId, std::map<TableKey, OffloadEntry>> tables_;
-    std::map<NodeId, Tick> lastDeparture_; ///< injection serialization
-    std::map<NodeId, Tick> lastArrival_;   ///< delivery serialization
-    /// arriveAtEdge's release buffer, kept to reuse its capacity.
-    std::vector<Packet> release_;
     std::uint64_t offloadHits_ = 0;
     std::uint64_t offloadMisses_ = 0;
     std::uint64_t offloadCrcDrops_ = 0;

@@ -1,7 +1,8 @@
 #include "prof/prof_cli.hh"
 
-#include <cstdlib>
 #include <cstring>
+
+#include "core/parse_number.hh"
 
 namespace msgsim::prof
 {
@@ -21,6 +22,10 @@ parseArgs(int &argc, char **argv)
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         const char *v = nullptr;
+        auto number = [&](const char *value, auto &field) {
+            if (!parseNumber(value, field) && opts.badNumber.empty())
+                opts.badNumber = argv[i];
+        };
         if (match(argv[i], "--protocol=", &v)) {
             opts.protocol = v;
         } else if (match(argv[i], "--substrate=", &v)) {
@@ -30,13 +35,11 @@ parseArgs(int &argc, char **argv)
         } else if (match(argv[i], "--baseline=", &v)) {
             opts.baseline = v;
         } else if (match(argv[i], "--words=", &v)) {
-            opts.words =
-                static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+            number(v, opts.words);
         } else if (match(argv[i], "--nodes=", &v)) {
-            opts.nodes =
-                static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+            number(v, opts.nodes);
         } else if (match(argv[i], "--group-ack=", &v)) {
-            opts.groupAck = std::atoi(v);
+            number(v, opts.groupAck);
         } else if (match(argv[i], "--flame-out=", &v)) {
             opts.flameOut = v;
         } else if (match(argv[i], "--waterfall-out=", &v)) {
@@ -49,28 +52,6 @@ parseArgs(int &argc, char **argv)
     }
     argc = out;
     return opts;
-}
-
-bool
-parseSubstrate(const std::string &name, Substrate &out)
-{
-    if (name == "cm5") {
-        out = Substrate::Cm5;
-        return true;
-    }
-    if (name == "cr") {
-        out = Substrate::Cr;
-        return true;
-    }
-    if (name == "rdma") {
-        out = Substrate::Rdma;
-        return true;
-    }
-    if (name == "nicam") {
-        out = Substrate::Nicam;
-        return true;
-    }
-    return false;
 }
 
 } // namespace msgsim::prof

@@ -35,8 +35,6 @@
 #include <cstdint>
 #include <string>
 
-#include "protocols/stack.hh"
-
 namespace msgsim::prof
 {
 
@@ -53,6 +51,9 @@ struct CliOptions
     std::string flameOut;
     std::string waterfallOut;
     std::string jsonOut;
+    /// The first numeric flag whose value did not parse (empty =
+    /// none); the caller reports it as a usage error.
+    std::string badNumber;
 };
 
 /**
@@ -61,9 +62,6 @@ struct CliOptions
  * obs::parseArgs).
  */
 CliOptions parseArgs(int &argc, char **argv);
-
-/** Map a substrate name to the enum; false on unknown names. */
-bool parseSubstrate(const std::string &name, Substrate &out);
 
 } // namespace msgsim::prof
 

@@ -76,9 +76,15 @@ main(int argc, char **argv)
         usage();
         return 2;
     }
+    if (!cli.badNumber.empty()) {
+        std::fprintf(stderr, "msgsim-prof: bad number in '%s'\n",
+                     cli.badNumber.c_str());
+        usage();
+        return 2;
+    }
 
     Substrate primarySub;
-    if (!prof::parseSubstrate(cli.substrate, primarySub)) {
+    if (!parseSubstrate(cli.substrate, primarySub)) {
         std::fprintf(stderr, "msgsim-prof: unknown substrate '%s'\n",
                      cli.substrate.c_str());
         usage();
@@ -86,7 +92,7 @@ main(int argc, char **argv)
     }
     Substrate baselineSub = Substrate::Cr;
     if (!cli.baseline.empty() &&
-        !prof::parseSubstrate(cli.baseline, baselineSub)) {
+        !parseSubstrate(cli.baseline, baselineSub)) {
         std::fprintf(stderr, "msgsim-prof: unknown baseline '%s'\n",
                      cli.baseline.c_str());
         usage();

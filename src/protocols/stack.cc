@@ -17,6 +17,19 @@ toString(Substrate s)
     }
 }
 
+bool
+parseSubstrate(const std::string &name, Substrate &out)
+{
+    for (Substrate s : {Substrate::Cm5, Substrate::Cr, Substrate::Rdma,
+                        Substrate::Nicam}) {
+        if (name == toString(s)) {
+            out = s;
+            return true;
+        }
+    }
+    return false;
+}
+
 const char *
 toString(RecvDiscipline d)
 {
@@ -36,43 +49,10 @@ Stack::Stack(const StackConfig &cfg) : cfg_(cfg)
     mc.recvCapacity = cfg_.recvCapacity;
 
     Machine::NetworkFactory factory;
-    if (cfg_.substrate == Substrate::Cm5) {
-        Cm5Network::Config nc;
-        nc.nodes = cfg_.nodes;
-        nc.orderFactory = cfg_.order ? cfg_.order : fifoOrderFactory();
-        nc.faults = cfg_.faults;
-        nc.maxJitter = cfg_.maxJitter;
-        nc.injectBusyRate = cfg_.injectBusyRate;
-        nc.seed = cfg_.seed;
-        nc.injectGap = cfg_.injectGap;
-        nc.deliverGap = cfg_.deliverGap;
-        factory = [nc](Simulator &sim) {
-            return std::make_unique<Cm5Network>(sim, nc);
-        };
-    } else if (cfg_.substrate == Substrate::Cr) {
-        CrNetwork::Config nc;
-        nc.nodes = cfg_.nodes;
-        nc.faults = cfg_.faults;
-        nc.injectGap = cfg_.injectGap;
-        nc.deliverGap = cfg_.deliverGap;
-        factory = [nc](Simulator &sim) {
-            return std::make_unique<CrNetwork>(sim, nc);
-        };
-    } else if (cfg_.substrate == Substrate::Rdma) {
-        // CMAM over the RDMA fabric: the model checker drives the
-        // NI sink directly, exercising per-QP in-order reliable
-        // delivery underneath unchanged software.
-        RdmaNetwork::Config nc;
-        nc.nodes = cfg_.nodes;
-        nc.faults = cfg_.faults;
-        nc.injectGap = cfg_.injectGap;
-        nc.deliverGap = cfg_.deliverGap;
-        factory = [nc](Simulator &sim) {
-            return std::make_unique<RdmaNetwork>(sim, nc);
-        };
-    } else {
-        // CMAM over the nicam fabric with an empty handler table:
-        // every packet misses to the host, so software-recovery
+    if (cfg_.substrate == Substrate::Cm5 ||
+        cfg_.substrate == Substrate::Nicam) {
+        // The CM-5 fabric.  nicam adds an (empty) on-NIC handler
+        // table: every packet misses to the host, so software-recovery
         // exploration (drop/duplicate choices) still applies.
         NicamNetwork::Config nc;
         nc.nodes = cfg_.nodes;
@@ -83,8 +63,26 @@ Stack::Stack(const StackConfig &cfg) : cfg_(cfg)
         nc.seed = cfg_.seed;
         nc.injectGap = cfg_.injectGap;
         nc.deliverGap = cfg_.deliverGap;
-        factory = [nc](Simulator &sim) {
-            return std::make_unique<NicamNetwork>(sim, nc);
+        const bool nicam = cfg_.substrate == Substrate::Nicam;
+        factory = [nc, nicam](Simulator &sim) -> std::unique_ptr<Network> {
+            if (nicam)
+                return std::make_unique<NicamNetwork>(sim, nc);
+            return std::make_unique<Cm5Network>(sim, nc);
+        };
+    } else {
+        // The CR fabric.  On rdma the model checker drives the NI sink
+        // directly, exercising per-QP in-order reliable delivery
+        // underneath unchanged software.
+        CrNetwork::Config nc;
+        nc.nodes = cfg_.nodes;
+        nc.faults = cfg_.faults;
+        nc.injectGap = cfg_.injectGap;
+        nc.deliverGap = cfg_.deliverGap;
+        const bool rdma = cfg_.substrate == Substrate::Rdma;
+        factory = [nc, rdma](Simulator &sim) -> std::unique_ptr<Network> {
+            if (rdma)
+                return std::make_unique<RdmaNetwork>(sim, nc);
+            return std::make_unique<CrNetwork>(sim, nc);
         };
     }
 

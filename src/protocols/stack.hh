@@ -9,6 +9,7 @@
 #define MSGSIM_PROTOCOLS_STACK_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cm5net/cm5_network.hh"
@@ -32,6 +33,12 @@ enum class Substrate
 
 /** Printable name of a substrate. */
 const char *toString(Substrate s);
+
+/**
+ * Map an exact toString() name ("cm5", "cr", "rdma", "nicam") to its
+ * substrate.  False, leaving @p out untouched, on any other string.
+ */
+bool parseSubstrate(const std::string &name, Substrate &out);
 
 /**
  * How a node learns of arrived packets in event-driven execution:

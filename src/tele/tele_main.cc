@@ -22,6 +22,7 @@
 #include <cstring>
 #include <string>
 
+#include "core/parse_number.hh"
 #include "lab/reporter.hh"
 #include "lab/result_table.hh"
 #include "sim/obs_cli.hh"
@@ -97,6 +98,7 @@ parse(int argc, char **argv, Options &opt)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         std::string v;
+        bool numberOk = true;
         if (arg == "--help" || arg == "-h") {
             usage(stdout);
             std::exit(0);
@@ -111,17 +113,23 @@ parse(int argc, char **argv, Options &opt)
                    eat(arg, "--bench-out=", opt.benchOut) ||
                    eat(arg, "--bench-label=", opt.benchLabel)) {
         } else if (eat(arg, "--period=", v)) {
-            opt.period = std::stoull(v);
+            numberOk = parseNumber(v, opt.period);
         } else if (eat(arg, "--ring=", v)) {
-            opt.ring = std::stoull(v);
+            numberOk = parseNumber(v, opt.ring);
         } else if (eat(arg, "--window-ticks=", v)) {
-            opt.windowTicks = std::stoull(v);
+            numberOk = parseNumber(v, opt.windowTicks);
         } else if (eat(arg, "--threshold=", v)) {
-            opt.threshold = std::stod(v);
+            numberOk = parseNumber(v, opt.threshold);
         } else if (eat(arg, "--max-bins=", v)) {
-            opt.maxBins = std::stoull(v);
+            numberOk = parseNumber(v, opt.maxBins);
         } else {
             std::fprintf(stderr, "msgsim-tele: unknown flag '%s'\n",
+                         arg.c_str());
+            usage(stderr);
+            return false;
+        }
+        if (!numberOk) {
+            std::fprintf(stderr, "msgsim-tele: bad number in '%s'\n",
                          arg.c_str());
             usage(stderr);
             return false;
@@ -150,7 +158,7 @@ main(int argc, char **argv)
         return 2;
     }
     Substrate substrate;
-    if (!substrateFromString(opt.substrate, substrate)) {
+    if (!parseSubstrate(opt.substrate, substrate)) {
         std::fprintf(stderr, "msgsim-tele: unknown substrate '%s'\n",
                      opt.substrate.c_str());
         return 2;

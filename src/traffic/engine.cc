@@ -69,22 +69,6 @@ protoFromString(const std::string &name, TrafficProto &out)
     return true;
 }
 
-bool
-substrateFromString(const std::string &name, Substrate &out)
-{
-    if (name == "cm5")
-        out = Substrate::Cm5;
-    else if (name == "cr")
-        out = Substrate::Cr;
-    else if (name == "rdma")
-        out = Substrate::Rdma;
-    else if (name == "nicam")
-        out = Substrate::Nicam;
-    else
-        return false;
-    return true;
-}
-
 StackConfig
 trafficStackConfig(const TrafficSpec &spec, Substrate substrate)
 {

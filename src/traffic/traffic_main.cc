@@ -13,17 +13,14 @@
  * trajectory file (BENCH_throughput.json), labelled --bench-label.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
-#include <type_traits>
 
+#include "core/parse_number.hh"
 #include "lab/reporter.hh"
 #include "lab/result_table.hh"
 #include "model/traffic_model.hh"
@@ -91,36 +88,6 @@ eat(const std::string &arg, const char *key, std::string &out)
     if (arg.compare(0, n, key) != 0)
         return false;
     out = arg.substr(n);
-    return true;
-}
-
-/**
- * Parse all of @p v as a number of @p out's type.  False on an empty
- * value, trailing junk, a sign on an unsigned field, overflow or a
- * non-finite real.
- */
-template <typename T>
-bool
-parseNumber(const std::string &v, T &out)
-{
-    if (v.empty() || std::isspace(static_cast<unsigned char>(v[0])))
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    if constexpr (std::is_floating_point_v<T>) {
-        const double x = std::strtod(v.c_str(), &end);
-        if (errno != 0 || *end != '\0' || !std::isfinite(x))
-            return false;
-        out = x;
-    } else {
-        if (!std::isdigit(static_cast<unsigned char>(v[0])))
-            return false;
-        const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-        if (errno != 0 || *end != '\0' ||
-            x > std::numeric_limits<T>::max())
-            return false;
-        out = static_cast<T>(x);
-    }
     return true;
 }
 
@@ -211,7 +178,7 @@ main(int argc, char **argv)
         return 2;
     }
     Substrate substrate;
-    if (!substrateFromString(opt.substrate, substrate)) {
+    if (!parseSubstrate(opt.substrate, substrate)) {
         std::fprintf(stderr,
                      "msgsim-traffic: unknown substrate '%s'\n",
                      opt.substrate.c_str());

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <string>
 
+#include "core/parse_number.hh"
 #include "lab/reporter.hh"
 #include "lab/result_table.hh"
 #include "sim/obs_cli.hh"
@@ -88,6 +89,7 @@ parse(int argc, char **argv, Options &opt)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         std::string v;
+        bool numberOk = true;
         if (arg == "--help" || arg == "-h") {
             usage(stdout);
             std::exit(0);
@@ -98,47 +100,36 @@ parse(int argc, char **argv, Options &opt)
                    eat(arg, "--bench-out=", opt.benchOut) ||
                    eat(arg, "--bench-label=", opt.benchLabel)) {
         } else if (eat(arg, "--nodes=", v)) {
-            opt.nodes = static_cast<std::uint32_t>(std::stoul(v));
+            numberOk = parseNumber(v, opt.nodes);
         } else if (eat(arg, "--streams=", v)) {
-            opt.streams = static_cast<std::uint32_t>(std::stoul(v));
+            numberOk = parseNumber(v, opt.streams);
         } else if (eat(arg, "--frames=", v)) {
-            opt.frames = static_cast<std::uint32_t>(std::stoul(v));
+            numberOk = parseNumber(v, opt.frames);
         } else if (eat(arg, "--size=", v)) {
-            opt.size = static_cast<std::uint32_t>(std::stoul(v));
+            numberOk = parseNumber(v, opt.size);
         } else if (eat(arg, "--window=", v)) {
-            opt.window = static_cast<std::uint32_t>(std::stoul(v));
+            numberOk = parseNumber(v, opt.window);
         } else if (eat(arg, "--group-ack=", v)) {
-            opt.groupAck = static_cast<std::uint32_t>(std::stoul(v));
+            numberOk = parseNumber(v, opt.groupAck);
         } else if (eat(arg, "--ack-every=", v)) {
-            opt.ackEvery = static_cast<std::uint32_t>(std::stoul(v));
+            numberOk = parseNumber(v, opt.ackEvery);
         } else if (eat(arg, "--corrupt-every=", v)) {
-            opt.corruptEvery =
-                static_cast<std::uint32_t>(std::stoul(v));
+            numberOk = parseNumber(v, opt.corruptEvery);
         } else if (eat(arg, "--seed=", v)) {
-            opt.seed = std::stoull(v);
+            numberOk = parseNumber(v, opt.seed);
         } else {
             std::fprintf(stderr, "msgsim-wire: unknown flag '%s'\n",
                          arg.c_str());
             usage(stderr);
             return false;
         }
+        if (!numberOk) {
+            std::fprintf(stderr, "msgsim-wire: bad number in '%s'\n",
+                         arg.c_str());
+            usage(stderr);
+            return false;
+        }
     }
-    return true;
-}
-
-bool
-substrateOf(const std::string &name, Substrate &out)
-{
-    if (name == "cm5")
-        out = Substrate::Cm5;
-    else if (name == "cr")
-        out = Substrate::Cr;
-    else if (name == "rdma")
-        out = Substrate::Rdma;
-    else if (name == "nicam")
-        out = Substrate::Nicam;
-    else
-        return false;
     return true;
 }
 
@@ -155,7 +146,7 @@ main(int argc, char **argv)
         return 2;
 
     Substrate substrate;
-    if (!substrateOf(opt.substrate, substrate)) {
+    if (!parseSubstrate(opt.substrate, substrate)) {
         std::fprintf(stderr, "msgsim-wire: unknown substrate '%s'\n",
                      opt.substrate.c_str());
         return 2;

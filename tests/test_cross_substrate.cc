@@ -109,5 +109,23 @@ TEST(CrossSubstrate, SavingsComeFromRemovingSoftware)
     EXPECT_LT(ratio, 1.0);
 }
 
+TEST(CrossSubstrate, SubstrateNamesRoundTrip)
+{
+    for (Substrate s : {Substrate::Cm5, Substrate::Cr, Substrate::Rdma,
+                        Substrate::Nicam}) {
+        Substrate back = s == Substrate::Cm5 ? Substrate::Cr
+                                              : Substrate::Cm5;
+        ASSERT_TRUE(parseSubstrate(toString(s), back)) << toString(s);
+        EXPECT_EQ(back, s);
+    }
+    // Only the exact lower-case names parse; a rejected name leaves
+    // the output untouched.
+    for (const char *bad : {"", "CM5", "cm5 ", "hl"}) {
+        Substrate out = Substrate::Rdma;
+        EXPECT_FALSE(parseSubstrate(bad, out)) << '"' << bad << '"';
+        EXPECT_EQ(out, Substrate::Rdma);
+    }
+}
+
 } // namespace
 } // namespace msgsim

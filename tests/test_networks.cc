@@ -5,18 +5,23 @@
  * *detects* faults; the CR network really delivers in order, rejects
  * and retries in hardware, and corrects faults invisibly.  Also the
  * sink refusal contract: a refusing sink leaves the packet untouched,
- * and the in-order fabrics redeliver it unchanged.
+ * and the in-order fabrics redeliver it unchanged.  Finally, the
+ * fabric equivalences: NicamNetwork with no matching handler is
+ * Cm5Network, and RdmaNetwork is CrNetwork, delivery for delivery.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "cm5net/cm5_network.hh"
 #include "crnet/cr_network.hh"
+#include "net/order.hh"
 #include "ni/net_iface.hh"
+#include "nicam/nicam_network.hh"
 #include "packet_match.hh"
 #include "rdmanet/rdma_network.hh"
 #include "sim/event.hh"
@@ -180,7 +185,7 @@ TEST(Cm5Network, FartherNodesTakeLonger)
     Simulator sim;
     Cm5Network::Config cfg;
     cfg.nodes = 16;
-    cfg.arity = 4;
+    static_assert(Cm5Network::arity == 4); // node 4 is a subtree away
     Cm5Network net(sim, cfg);
 
     std::map<NodeId, Tick> arrival;
@@ -403,6 +408,154 @@ TYPED_TEST(InOrderRefusal, RedeliversIdenticalPayloadInOrder)
         EXPECT_EQ(net.stats().deliveryRetries, refusals);
         EXPECT_EQ(net.stats().delivered, static_cast<std::uint64_t>(n));
     }
+}
+
+// ----------------------------------------------------------------
+// Fabric equivalence: nicam is the CM-5 fabric plus a handler table,
+// rdma is the CR fabric plus verbs host features.  Driven identically,
+// each pair must deliver the same packets at the same ticks.
+// ----------------------------------------------------------------
+
+struct FabricRun
+{
+    /// (tick, src, dst, injectSeq, payload, crc) per accepted packet.
+    std::vector<std::tuple<Tick, NodeId, NodeId, std::uint64_t,
+                           std::vector<Word>, Word>>
+        deliveries;
+    NetStats stats;
+};
+
+auto
+statsTuple(const NetStats &s)
+{
+    return std::make_tuple(s.injected, s.delivered, s.dropped,
+                           s.corrupted, s.duplicated, s.deliveryRetries,
+                           s.hwRetries);
+}
+
+/**
+ * 240 packets among 8 nodes, four injected per tick, into sinks that
+ * refuse every third offer; run to quiescence, flushing held packets.
+ */
+FabricRun
+driveFabric(Simulator &sim, Network &net)
+{
+    constexpr NodeId nodes = 8;
+    FabricRun run;
+    std::vector<std::uint64_t> offers(nodes, 0);
+    for (NodeId d = 0; d < nodes; ++d) {
+        net.attach(d, [&, d](Packet &&p) {
+            if (++offers[d] % 3 == 0)
+                return false;
+            run.deliveries.emplace_back(sim.now(), p.src, p.dst,
+                                        p.injectSeq, p.data, p.crc);
+            return true;
+        });
+    }
+    for (Word i = 0; i < 240; ++i) {
+        const NodeId src = i % nodes;
+        const NodeId dst = (src + 1 + i % 5) % nodes;
+        sim.scheduleAt(i / 4, [&net, src, dst, i] {
+            net.inject(Packet(src, dst, HwTag::StreamData, i,
+                              {i, ~i, i * 7, 0xfab00000u + i}));
+        });
+    }
+    sim.run();
+    net.flushHeldPackets();
+    sim.run();
+    run.stats = net.stats();
+    return run;
+}
+
+void
+expectSameRun(const FabricRun &a, const FabricRun &b)
+{
+    EXPECT_EQ(statsTuple(a.stats), statsTuple(b.stats));
+    ASSERT_EQ(a.deliveries.size(), b.deliveries.size());
+    for (std::size_t i = 0; i < a.deliveries.size(); ++i)
+        ASSERT_TRUE(a.deliveries[i] == b.deliveries[i])
+            << "delivery " << i << " differs";
+}
+
+Cm5Network::Config
+scrambledCm5Config()
+{
+    Cm5Network::Config cfg;
+    cfg.nodes = 8;
+    cfg.seed = 77;
+    cfg.maxJitter = 6;
+    cfg.orderFactory = swapAdjacentFactory();
+    cfg.faults.dropRate = 0.05;
+    cfg.faults.corruptRate = 0.05;
+    cfg.faults.duplicateRate = 0.05;
+    cfg.faults.seed = 1234;
+    return cfg;
+}
+
+FabricRun
+cm5Run()
+{
+    Simulator sim;
+    Cm5Network net(sim, scrambledCm5Config());
+    return driveFabric(sim, net);
+}
+
+TEST(FabricEquivalence, NicamWithEmptyTableIsCm5)
+{
+    const FabricRun cm5 = cm5Run();
+    // The workload exercises every CM-5 mechanism being compared.
+    EXPECT_GT(cm5.stats.dropped, 0u);
+    EXPECT_GT(cm5.stats.corrupted, 0u);
+    EXPECT_GT(cm5.stats.duplicated, 0u);
+    EXPECT_GT(cm5.stats.deliveryRetries, 0u);
+
+    Simulator sim;
+    NicamNetwork::Config cfg;
+    static_cast<Cm5Network::Config &>(cfg) = scrambledCm5Config();
+    NicamNetwork net(sim, cfg);
+    expectSameRun(driveFabric(sim, net), cm5);
+    EXPECT_EQ(net.offloadHits(), 0u);
+    EXPECT_EQ(net.offloadMisses(), 0u);
+}
+
+TEST(FabricEquivalence, NicamWithNonMatchingEntriesIsCm5)
+{
+    Simulator sim;
+    NicamNetwork::Config cfg;
+    static_cast<Cm5Network::Config &>(cfg) = scrambledCm5Config();
+    NicamNetwork net(sim, cfg);
+    // Wrong tag on every node, and the right tag with a selector no
+    // packet carries: every lookup misses to the host sink.
+    auto never = [](const Packet &) { ADD_FAILURE() << "matched"; };
+    for (NodeId d = 0; d < 8; ++d) {
+        ASSERT_TRUE(net.offloadHandler(d, HwTag::UserAm, 0, never));
+        ASSERT_TRUE(
+            net.offloadHandler(d, HwTag::StreamData, 0xdeadbeefu, never));
+    }
+    expectSameRun(driveFabric(sim, net), cm5Run());
+    EXPECT_EQ(net.offloadHits(), 0u);
+    EXPECT_GT(net.offloadMisses(), 0u);
+}
+
+TEST(FabricEquivalence, RdmaIsCr)
+{
+    CrNetwork::Config cfg;
+    cfg.nodes = 8;
+    cfg.faults.dropRate = 0.05;
+    cfg.faults.corruptRate = 0.05;
+    cfg.faults.duplicateRate = 0.05;
+    cfg.faults.seed = 4321;
+
+    Simulator crSim;
+    CrNetwork cr(crSim, cfg);
+    const FabricRun crRun = driveFabric(crSim, cr);
+    EXPECT_GT(crRun.stats.hwRetries, 0u);
+    EXPECT_GT(crRun.stats.deliveryRetries, 0u);
+    EXPECT_EQ(crRun.stats.delivered, 240u);
+
+    Simulator rdmaSim;
+    RdmaNetwork rdma(rdmaSim, cfg);
+    expectSameRun(driveFabric(rdmaSim, rdma), crRun);
 }
 
 } // namespace

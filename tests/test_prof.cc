@@ -424,11 +424,11 @@ TEST(ProfCli, StripsItsFlagsAndComposesWithObs)
 TEST(ProfCli, SubstrateNamesRoundTrip)
 {
     Substrate s = Substrate::Cm5;
-    EXPECT_TRUE(prof::parseSubstrate("cr", s));
+    EXPECT_TRUE(parseSubstrate("cr", s));
     EXPECT_EQ(s, Substrate::Cr);
-    EXPECT_TRUE(prof::parseSubstrate("cm5", s));
+    EXPECT_TRUE(parseSubstrate("cm5", s));
     EXPECT_EQ(s, Substrate::Cm5);
-    EXPECT_FALSE(prof::parseSubstrate("tcp", s));
+    EXPECT_FALSE(parseSubstrate("tcp", s));
 }
 
 } // namespace

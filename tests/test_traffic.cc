@@ -70,11 +70,11 @@ TEST(TrafficSpec, StringRoundTrips)
 
     for (const char *name : {"cm5", "cr", "rdma", "nicam"}) {
         Substrate s;
-        ASSERT_TRUE(substrateFromString(name, s)) << name;
+        ASSERT_TRUE(parseSubstrate(name, s)) << name;
         EXPECT_STREQ(toString(s), name);
     }
     Substrate s;
-    EXPECT_FALSE(substrateFromString("myrinet", s));
+    EXPECT_FALSE(parseSubstrate("myrinet", s));
 
     for (const char *name :
          {"uniform-random", "permutation", "hotspot", "ring",
