@@ -14,7 +14,7 @@ Cm5Network::Cm5Network(Simulator &sim, const Config &cfg)
 
 Cm5Network::Cm5Network(Simulator &sim, const Config &cfg,
                        hostprof::Site route, hostprof::Site deliver)
-    : Network(sim), cfg_(cfg), routeSite_(route),
+    : Network(sim, cfg.nodes), cfg_(cfg), routeSite_(route),
       deliverSite_(deliver), tree_(cfg.nodes, arity),
       faults_(cfg.faults), rng_(cfg.seed)
 {
@@ -23,12 +23,15 @@ Cm5Network::Cm5Network(Simulator &sim, const Config &cfg,
 }
 
 OrderPolicy &
-Cm5Network::policyFor(const FlowKey &flow)
+Cm5Network::policyFor(const Packet &pkt)
 {
-    auto it = policies_.find(flow);
-    if (it == policies_.end())
-        it = policies_.emplace(flow, cfg_.orderFactory()).first;
-    return *it->second;
+    if (policies_.empty())
+        policies_.resize(flowSlots());
+    std::unique_ptr<OrderPolicy> &policy =
+        policies_[flowSlot(pkt.src, pkt.dst, pkt.vnet)];
+    if (!policy)
+        policy = cfg_.orderFactory();
+    return *policy;
 }
 
 bool
@@ -75,43 +78,42 @@ Cm5Network::routeToEdge(Packet &&pkt)
     // Link-bandwidth serialization: packets leave a node no faster
     // than the injection port drains, and arrive at a node no faster
     // than its input port fills.
-    Tick departure = sim_.now();
-    if (cfg_.injectGap > 0) {
-        auto it = lastDeparture_.find(pkt.src);
-        if (it != lastDeparture_.end())
-            departure = std::max(departure,
-                                 it->second + cfg_.injectGap);
-        lastDeparture_[pkt.src] = departure;
-    }
-    Tick arrival = departure + latency;
-    if (cfg_.deliverGap > 0) {
-        auto it = lastArrival_.find(pkt.dst);
-        if (it != lastArrival_.end())
-            arrival = std::max(arrival, it->second + cfg_.deliverGap);
-        lastArrival_[pkt.dst] = arrival;
-    }
+    const Tick departure =
+        pace(nextDeparture_, pkt.src, sim_.now(), cfg_.injectGap);
+    const Tick arrival = pace(nextArrival_, pkt.dst, departure + latency,
+                              cfg_.deliverGap);
 
     // Park the packet; the closure carries only its slot.
     const std::uint32_t slot = park(std::move(pkt));
     sim_.scheduleAt(arrival, [this, slot] { arriveAtEdge(unpark(slot)); });
 }
 
+template <typename Stage>
 void
-Cm5Network::arriveAtEdge(Packet &&pkt)
+Cm5Network::releaseFrom(Stage &&stage)
 {
-    hostprof::HostScope hs(deliverSite_);
-    auto &policy =
-        policyFor({pkt.src, pkt.dst, static_cast<int>(pkt.vnet)});
     // Reuse the member release buffer, swapped out while in use: a
     // nested arrival (a sink that runs the event loop) then gets a
     // buffer of its own instead of clobbering this one.
     std::vector<Packet> release;
     release.swap(release_);
-    policy.arrive(std::move(pkt), release);
+    stage(release);
+    held_ -= release.size();
     for (auto &p : release)
         tryDeliver(std::move(p));
     release.clear();
     release.swap(release_);
+}
+
+void
+Cm5Network::arriveAtEdge(Packet &&pkt)
+{
+    hostprof::HostScope hs(deliverSite_);
+    OrderPolicy &policy = policyFor(pkt);
+    ++held_;
+    releaseFrom([&](std::vector<Packet> &release) {
+        policy.arrive(std::move(pkt), release);
+    });
 }
 
 void
@@ -132,11 +134,16 @@ Cm5Network::tryDeliver(Packet &&pkt)
 void
 Cm5Network::flushHeldPackets()
 {
-    for (auto &[flow, policy] : policies_) {
-        std::vector<Packet> release;
-        policy->flush(release);
-        for (auto &p : release)
-            tryDeliver(std::move(p));
+    // Flush in flow-slot order, i.e. ascending (src, dst, vnet), and
+    // stop once nothing is held: flushing a stage that holds nothing
+    // releases nothing and draws no random numbers, so the skip is
+    // exact and a flush with nothing held costs nothing.
+    for (std::size_t i = 0; held_ > 0 && i < policies_.size(); ++i) {
+        if (!policies_[i])
+            continue;
+        releaseFrom([&](std::vector<Packet> &release) {
+            policies_[i]->flush(release);
+        });
     }
 }
 

@@ -22,9 +22,8 @@
 #ifndef MSGSIM_CM5NET_CM5_NETWORK_HH
 #define MSGSIM_CM5NET_CM5_NETWORK_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <tuple>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -103,16 +102,22 @@ class Cm5Network : public Network
     virtual bool consumeAtEdge(const Packet &) { return false; }
 
   private:
-    using FlowKey = std::tuple<NodeId, NodeId, int>;
-
-    /** The per-flow order-scrambling stage at the destination edge. */
-    OrderPolicy &policyFor(const FlowKey &flow);
+    /** The order-scrambling stage of @p pkt's flow at the destination
+     *  edge, created on the flow's first arrival. */
+    OrderPolicy &policyFor(const Packet &pkt);
 
     /** Route one packet to the destination edge (latency model). */
     void routeToEdge(Packet &&pkt);
 
     /** A packet reached the destination edge. */
     void arriveAtEdge(Packet &&pkt);
+
+    /**
+     * Run @p stage (an order stage's arrive or flush) into the
+     * release buffer, then try to deliver what it released.
+     */
+    template <typename Stage>
+    void releaseFrom(Stage &&stage);
 
     /** Try to hand a released packet to the sink; retry while full. */
     void tryDeliver(Packet &&pkt);
@@ -123,10 +128,15 @@ class Cm5Network : public Network
     FatTree tree_;
     FaultInjector faults_;
     Rng rng_;
-    std::map<FlowKey, std::unique_ptr<OrderPolicy>> policies_;
-    std::map<NodeId, Tick> lastDeparture_; ///< injection serialization
-    std::map<NodeId, Tick> lastArrival_;   ///< delivery serialization
-    /// arriveAtEdge's release buffer, kept to reuse its capacity.
+    /// Order stages by flow slot (sized on first arrival; a flow's
+    /// stage is created on its own first arrival, so per-flow seeds
+    /// are drawn in flow-arrival order).
+    std::vector<std::unique_ptr<OrderPolicy>> policies_;
+    /// Packets held inside order stages (arrived, not yet released).
+    std::size_t held_ = 0;
+    std::vector<Tick> nextDeparture_; ///< injection pacing, per node
+    std::vector<Tick> nextArrival_;   ///< delivery pacing, per node
+    /// Order-stage release buffer, kept to reuse its capacity.
     std::vector<Packet> release_;
 };
 

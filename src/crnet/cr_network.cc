@@ -14,7 +14,7 @@ CrNetwork::CrNetwork(Simulator &sim, const Config &cfg)
 
 CrNetwork::CrNetwork(Simulator &sim, const Config &cfg,
                      hostprof::Site route, hostprof::Site deliver)
-    : Network(sim), cfg_(cfg), routeSite_(route),
+    : Network(sim, cfg.nodes), cfg_(cfg), routeSite_(route),
       deliverSite_(deliver), tree_(cfg.nodes, arity),
       faults_(cfg.faults)
 {
@@ -36,29 +36,19 @@ CrNetwork::injectImpl(Packet &&pkt)
         latency += hwRetryDelay;
     }
 
-    // Link-bandwidth serialization at both endpoints.
-    Tick departure = sim_.now();
-    if (cfg_.injectGap > 0) {
-        auto it = lastDeparture_.find(pkt.src);
-        if (it != lastDeparture_.end())
-            departure = std::max(departure,
-                                 it->second + cfg_.injectGap);
-        lastDeparture_[pkt.src] = departure;
-    }
-    // Order preservation: a packet never arrives before its flow
+    // Link-bandwidth serialization at both endpoints; order
+    // preservation: a packet never arrives before its flow
     // predecessor.
-    const FlowKey flow{pkt.src, pkt.dst,
-                       static_cast<int>(pkt.vnet)};
-    Tick arrival =
-        std::max(departure + latency,
-                 lastArrival_.count(flow) ? lastArrival_[flow] + 1 : 0);
-    if (cfg_.deliverGap > 0) {
-        auto it = lastAtDest_.find(pkt.dst);
-        if (it != lastAtDest_.end())
-            arrival = std::max(arrival, it->second + cfg_.deliverGap);
-        lastAtDest_[pkt.dst] = arrival;
-    }
-    lastArrival_[flow] = arrival;
+    if (flows_.empty())
+        flows_.resize(flowSlots());
+    FlowState &flow = flows_[flowSlot(pkt.src, pkt.dst, pkt.vnet)];
+    const Tick departure =
+        pace(nextDeparture_, pkt.src, sim_.now(), cfg_.injectGap);
+    const Tick arrival =
+        pace(nextAtDest_, pkt.dst,
+             std::max(departure + latency, flow.nextArrival),
+             cfg_.deliverGap);
+    flow.nextArrival = arrival + 1;
 
     const std::uint32_t slot = park(std::move(pkt));
     sim_.scheduleAt(arrival, [this, slot] { arrive(unpark(slot)); });
@@ -69,8 +59,7 @@ void
 CrNetwork::arrive(Packet &&pkt)
 {
     hostprof::HostScope hs(deliverSite_);
-    FlowState &state =
-        flows_[FlowKey{pkt.src, pkt.dst, static_cast<int>(pkt.vnet)}];
+    FlowState &state = flows_[flowSlot(pkt.src, pkt.dst, pkt.vnet)];
     if (!state.queue.empty()) {
         state.queue.push_back(std::move(pkt));
         drain(state);
@@ -83,6 +72,18 @@ CrNetwork::arrive(Packet &&pkt)
         state.queue.push_back(std::move(pkt));
         refused(state);
     }
+}
+
+void
+CrNetwork::PacketRing::grow()
+{
+    // Re-linearize into a ring of twice the size (oldest first).
+    std::vector<Packet> bigger(slots_.empty() ? 4 : 2 * slots_.size());
+    for (std::size_t i = 0; i < count_; ++i)
+        bigger[i] =
+            std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    slots_.swap(bigger);
+    head_ = 0;
 }
 
 void

@@ -21,11 +21,10 @@
 #ifndef MSGSIM_CRNET_CR_NETWORK_HH
 #define MSGSIM_CRNET_CR_NETWORK_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "hostprof/hostprof.hh"
 #include "net/fault.hh"
@@ -79,12 +78,50 @@ class CrNetwork : public Network
     bool injectImpl(Packet &&pkt) override;
 
   private:
-    using FlowKey = std::tuple<NodeId, NodeId, int>;
+    /**
+     * A flow's arrived-but-unaccepted packets, oldest first: a ring
+     * over a power-of-two vector that doubles only when full, so a
+     * backed-up flow stops allocating once its ring covers its
+     * backlog.
+     */
+    class PacketRing
+    {
+      public:
+        bool empty() const { return count_ == 0; }
+        Packet &front() { return slots_[head_]; }
+
+        void
+        pop_front()
+        {
+            head_ = (head_ + 1) & (slots_.size() - 1);
+            --count_;
+        }
+
+        void
+        push_back(Packet &&pkt)
+        {
+            if (count_ == slots_.size())
+                grow();
+            slots_[(head_ + count_) & (slots_.size() - 1)] =
+                std::move(pkt);
+            ++count_;
+        }
+
+      private:
+        void grow();
+
+        std::vector<Packet> slots_;
+        std::size_t head_ = 0;
+        std::size_t count_ = 0;
+    };
 
     struct FlowState
     {
-        std::deque<Packet> queue; ///< arrived, not yet accepted
+        PacketRing queue; ///< arrived, not yet accepted
         bool drainScheduled = false;
+        /// Earliest arrival tick of the flow's next packet (order
+        /// preservation: never before its predecessor).
+        Tick nextArrival = 0;
     };
 
     /** A packet reached the destination edge of its flow. */
@@ -101,12 +138,12 @@ class CrNetwork : public Network
     hostprof::Site deliverSite_;
     FatTree tree_;
     FaultInjector faults_;
-    /// Node-based, so a FlowState reference (held by a pending retry
-    /// closure) stays valid as flows are added.
-    std::map<FlowKey, FlowState> flows_;
-    std::map<FlowKey, Tick> lastArrival_;
-    std::map<NodeId, Tick> lastDeparture_; ///< injection serialization
-    std::map<NodeId, Tick> lastAtDest_;    ///< delivery serialization
+    /// Flow state by flow slot, sized on first inject and never
+    /// resized, so a FlowState pointer (held by a pending retry
+    /// closure) stays valid.
+    std::vector<FlowState> flows_;
+    std::vector<Tick> nextDeparture_; ///< injection pacing, per node
+    std::vector<Tick> nextAtDest_;    ///< delivery pacing, per node
 };
 
 } // namespace msgsim

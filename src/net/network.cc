@@ -10,22 +10,28 @@ namespace msgsim
 void
 Network::attach(NodeId id, DeliverFn fn)
 {
-    sinks_[id] = std::move(fn);
-    // Boot-time sizing of the per-destination link counters: the hot
-    // paths below only ever increment, never allocate.
-    if (id >= injectedTo_.size()) {
-        injectedTo_.resize(id + 1, 0);
-        settledTo_.resize(id + 1, 0);
-        deliveredTo_.resize(id + 1, 0);
-    }
+    if (id >= nodes_)
+        msgsim_panic("attach of node ", id, " to a fabric of ", nodes_,
+                     " nodes");
+    // Boot-time sizing of the per-node records, once and whole: the
+    // hot paths below only ever increment, never allocate, and a sink
+    // that attaches another node never moves the one that is running.
+    if (links_.empty())
+        links_.resize(nodes_);
+    links_[id].sink = std::move(fn);
 }
 
 bool
 Network::inject(Packet &&pkt)
 {
     hostprof::HostScope hs(hostprof::Site::NetInject);
-    const auto flow =
-        std::make_tuple(pkt.src, pkt.dst, static_cast<int>(pkt.vnet));
+    if (pkt.src >= nodes_ || pkt.dst >= nodes_ || pkt.vnet >= numVnets)
+        msgsim_panic("inject of flow (", pkt.src, ", ", pkt.dst, ", ",
+                     static_cast<int>(pkt.vnet), ") outside a fabric of ",
+                     nodes_, " nodes and ", numVnets, " vnets");
+    if (flowCounters_.empty())
+        flowCounters_.assign(flowSlots(), 0);
+    const std::size_t flow = flowSlot(pkt.src, pkt.dst, pkt.vnet);
     const NodeId flowDst = pkt.dst;
     pkt.injectSeq = nextInjectSeq_;
     pkt.flowIndex = flowCounters_[flow];
@@ -43,8 +49,8 @@ Network::inject(Packet &&pkt)
     ++nextInjectSeq_;
     ++flowCounters_[flow];
     ++stats_.injected;
-    if (flowDst < injectedTo_.size())
-        ++injectedTo_[flowDst];
+    if (flowDst < links_.size())
+        ++links_[flowDst].injected;
     return true;
 }
 
@@ -81,9 +87,9 @@ bool
 Network::presentToSink(Packet &&pkt)
 {
     hostprof::HostScope hs(hostprof::Site::NetDeliver);
-    auto it = sinks_.find(pkt.dst);
-    if (it == sinks_.end())
+    if (pkt.dst >= links_.size() || !links_[pkt.dst].sink)
         msgsim_panic("no sink attached for node ", pkt.dst);
+    const DeliverFn &sink = links_[pkt.dst].sink;
     // Capture trace metadata before the sink may consume the packet.
     Packet meta;
     if (tracer_ || LineageHooks::current()) {
@@ -95,7 +101,7 @@ Network::presentToSink(Packet &&pkt)
         meta.lineage = pkt.lineage;
     }
     const NodeId sinkDst = pkt.dst;
-    const bool accepted = it->second(std::move(pkt));
+    const bool accepted = sink(std::move(pkt));
     if (accepted) {
         ++stats_.delivered;
         noteDelivered(sinkDst);

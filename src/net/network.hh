@@ -31,15 +31,31 @@
  * sites.  The model checker reads the first three bits (scheduling
  * and fault choices); the last three are capability advertisements
  * consumed by the host layers and the differential profiler.
+ *
+ * Per-flow state is dense.  A fabric knows its node count, and every
+ * (src, dst, vnet) flow has one *flow slot*,
+ * (src * nodes + dst) * numVnets + vnet, whose order is the
+ * lexicographic (src, dst, vnet) order; the flow tables on the
+ * per-packet path (flow counters here, cm5's order stages, cr's flow
+ * queues) are vectors indexed by it, so a lookup is one multiply-add
+ * and a scan visits flows in the order an ordered map would.  inject()
+ * rejects an out-of-range src, dst or vnet.  A flow table is sized
+ * whole on its first use, never at construction (fabrics that are
+ * built and never loaded, like the model checker's per-schedule
+ * harnesses, pay nothing), and never resizes afterwards, so a pointer
+ * into it stays valid.  Per-node state (sink, link counters, the
+ * link-bandwidth pacing ticks) is a vector indexed by node id.
+ * Cm5Network counts the packets held inside its order stages (held_),
+ * so a flush with nothing held costs nothing.
  */
 
 #ifndef MSGSIM_NET_NETWORK_HH
 #define MSGSIM_NET_NETWORK_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -122,20 +138,31 @@ class Network
      */
     using DeliverFn = std::function<bool(Packet &&)>;
 
-    explicit Network(Simulator &sim) : sim_(sim) {}
+    /// Number of virtual (on the CM-5: physical left/right) data
+    /// networks.  Network 1 is the reply network: it drains with
+    /// priority and its FIFO is independent of network 0, so replies
+    /// always get past backed-up requests (paper footnote 6).
+    static constexpr int numVnets = 2;
+
+    /** A fabric of @p nodes leaf nodes; allocates nothing. */
+    Network(Simulator &sim, std::uint32_t nodes)
+        : sim_(sim), nodes_(nodes)
+    {
+    }
     virtual ~Network() = default;
 
     Network(const Network &) = delete;
     Network &operator=(const Network &) = delete;
 
-    /** Register the delivery sink of node @p id. */
+    /** Register the delivery sink of node @p id (< nodes()). */
     void attach(NodeId id, DeliverFn fn);
 
     /**
      * Inject a packet.  Stamps injection and flow sequence numbers.
      * Returns false when the injection port is backpressured (the
      * software must retry, like re-pushing a CM-5 packet whose
-     * send_ok read failed).
+     * send_ok read failed).  Panics when src or dst is not a node of
+     * this fabric or vnet is not below numVnets.
      */
     bool inject(Packet &&pkt);
 
@@ -151,12 +178,15 @@ class Network
     /** Traffic statistics so far. */
     const NetStats &stats() const { return stats_; }
 
+    /** Leaf node count. */
+    std::uint32_t nodes() const { return nodes_; }
+
     // ------------------------------------------------------------
     // Per-destination-link occupancy (telemetry; never charged).
     // A packet is "in flight toward d" from the moment inject()
     // accepts it until a sink accepts it, the NIC dispatches it, or
-    // a fault absorbs it.  Maintained as two preallocated counters
-    // per node (sized at attach() time, so the hot paths never
+    // a fault absorbs it.  Maintained as preallocated counters per
+    // node (sized by the first attach(), so the hot paths never
     // allocate) — the probes the src/tele sampler reads.
     // ------------------------------------------------------------
 
@@ -164,18 +194,17 @@ class Network
     std::uint64_t
     inFlightTo(NodeId dst) const
     {
-        if (dst >= injectedTo_.size())
+        if (dst >= links_.size())
             return 0;
-        const std::uint64_t in = injectedTo_[dst];
-        const std::uint64_t out = settledTo_[dst];
-        return in > out ? in - out : 0;
+        const NodeLink &l = links_[dst];
+        return l.injected > l.settled ? l.injected - l.settled : 0;
     }
 
     /** Packets delivered to @p dst (sink-accepted or NIC-dispatched). */
     std::uint64_t
     deliveredTo(NodeId dst) const
     {
-        return dst < deliveredTo_.size() ? deliveredTo_[dst] : 0;
+        return dst < links_.size() ? links_[dst].delivered : 0;
     }
 
     /** The simulator driving this network. */
@@ -231,6 +260,44 @@ class Network
     /** Substrate-specific injection behaviour. */
     virtual bool injectImpl(Packet &&pkt) = 0;
 
+    /** Flows of this fabric: the size of a whole flow table. */
+    std::size_t
+    flowSlots() const
+    {
+        return static_cast<std::size_t>(nodes_) * nodes_ * numVnets;
+    }
+
+    /**
+     * The flow slot of (@p src, @p dst, @p vnet): an index into a
+     * flow table, in lexicographic (src, dst, vnet) order.
+     */
+    std::size_t
+    flowSlot(NodeId src, NodeId dst, int vnet) const
+    {
+        return (static_cast<std::size_t>(src) * nodes_ + dst) *
+                   numVnets +
+               static_cast<std::size_t>(vnet);
+    }
+
+    /**
+     * Link-bandwidth pacing: the earliest tick not before @p t at
+     * which @p node's port is free, given the per-node next-free
+     * ticks in @p nextFree; the port is then busy for @p gap ticks.
+     * With a zero gap the port is never busy and @p nextFree is never
+     * touched; otherwise it is sized on first use.
+     */
+    Tick
+    pace(std::vector<Tick> &nextFree, NodeId node, Tick t, Tick gap)
+    {
+        if (gap == 0)
+            return t;
+        if (nextFree.empty())
+            nextFree.assign(nodes_, 0);
+        t = std::max(t, nextFree[node]);
+        nextFree[node] = t + gap;
+        return t;
+    }
+
     /**
      * Present a packet to the destination sink.  Returns the sink's
      * acceptance result; panics when the destination was never
@@ -278,9 +345,9 @@ class Network
     void
     noteDelivered(NodeId dst)
     {
-        if (dst < settledTo_.size()) {
-            ++settledTo_[dst];
-            ++deliveredTo_[dst];
+        if (dst < links_.size()) {
+            ++links_[dst].settled;
+            ++links_[dst].delivered;
         }
     }
 
@@ -292,24 +359,31 @@ class Network
     void
     noteAbsorbed(NodeId dst)
     {
-        if (dst < settledTo_.size())
-            ++settledTo_[dst];
+        if (dst < links_.size())
+            ++links_[dst].settled;
     }
 
     Simulator &sim_;
     NetStats stats_;
 
   private:
+    /** One node's sink and destination-link counters. */
+    struct NodeLink
+    {
+        DeliverFn sink;               ///< empty until attach()
+        std::uint64_t injected = 0;   ///< accepted at inject() for it
+        std::uint64_t settled = 0;    ///< delivered or absorbed
+        std::uint64_t delivered = 0;  ///< sink-accepted or dispatched
+    };
+
     PacketTracer *tracer_ = nullptr;
     ScheduleGate *gate_ = nullptr;
-    std::map<NodeId, DeliverFn> sinks_;
-    /// Per-destination link counters (boot-sized in attach()).
-    std::vector<std::uint64_t> injectedTo_;
-    std::vector<std::uint64_t> settledTo_;
-    std::vector<std::uint64_t> deliveredTo_;
+    std::uint32_t nodes_;
+    /// Per-node sinks and counters (sized by the first attach()).
+    std::vector<NodeLink> links_;
     std::uint64_t nextInjectSeq_ = 0;
-    std::map<std::tuple<NodeId, NodeId, int>, std::uint64_t>
-        flowCounters_;
+    /// Packets injected per flow, by flow slot (sized on first inject).
+    std::vector<std::uint64_t> flowCounters_;
     /// Packet carry pool (park/unpark): slots and recycled indices.
     std::vector<Packet> parked_;
     std::vector<std::uint32_t> freeSlots_;

@@ -32,7 +32,7 @@ NetIface::writeSendCtl(Accounting &acct, NodeId dst, HwTag tag,
     if (lenWords < 2 || lenWords % 2 != 0 || lenWords > cfg_.dataWords)
         msgsim_panic("bad packet length ", lenWords, " (max ",
                      cfg_.dataWords, ")");
-    if (vnet < 0 || vnet >= numVnets)
+    if (vnet < 0 || vnet >= Network::numVnets)
         msgsim_panic("bad virtual network ", vnet);
     staged_.emplace(id_, dst, tag, header, std::vector<Word>{});
     staged_->vnet = static_cast<std::uint8_t>(vnet);
@@ -87,7 +87,7 @@ NetIface::pickServiceVnet() const
     // drain past backed-up requests.
     if (serviceVnet_ >= 0)
         return serviceVnet_;
-    for (int v = numVnets - 1; v >= 0; --v)
+    for (int v = Network::numVnets - 1; v >= 0; --v)
         if (!recvQueues_[static_cast<std::size_t>(v)].empty())
             return v;
     return -1;
@@ -241,7 +241,7 @@ NetIface::hwDeliver(Packet &&pkt)
             ts->instant(id_, "ni", "accept_refusal");
         return false;
     }
-    auto &queue = recvQueues_[pkt.vnet % numVnets];
+    auto &queue = recvQueues_[pkt.vnet];
     if (queue.size() >= cfg_.recvCapacity) {
         ++recvRefusals_;
         if (ts)

@@ -58,12 +58,6 @@ constexpr Word tagMask = 0xfu;
 class NetIface
 {
   public:
-    /// Number of virtual (on the CM-5: physical left/right) data
-    /// networks.  Network 1 is the reply network: it drains with
-    /// priority and its FIFO is independent of network 0, so replies
-    /// always get past backed-up requests (paper footnote 6).
-    static constexpr int numVnets = 2;
-
     struct Config
     {
         int dataWords = 4; ///< data words per packet (CM-5: 4)
@@ -251,7 +245,7 @@ class NetIface
     // Receive FIFOs, one per virtual network.  Reads are latched to
     // one queue for the duration of a packet (serviceVnet_), and the
     // reply network (1) has drain priority between packets.
-    std::array<std::deque<Packet>, numVnets> recvQueues_;
+    std::array<std::deque<Packet>, Network::numVnets> recvQueues_;
     std::size_t recvReadIndex_ = 0;
     int serviceVnet_ = -1;
 

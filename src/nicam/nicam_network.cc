@@ -20,7 +20,12 @@ bool
 NicamNetwork::offloadHandler(NodeId dst, HwTag tag, Word selector,
                              OffloadFn fn)
 {
-    auto &table = tables_[dst];
+    if (dst >= nodes())
+        msgsim_panic("offload handler at node ", dst,
+                     " outside a fabric of ", nodes(), " nodes");
+    if (tables_.empty())
+        tables_.resize(nodes());
+    Table &table = tables_[dst];
     const TableKey key{static_cast<int>(tag), selector};
     if (!table.count(key) &&
         static_cast<int>(table.size()) >= maxOffloadEntries_)
@@ -32,42 +37,38 @@ NicamNetwork::offloadHandler(NodeId dst, HwTag tag, Word selector,
 void
 NicamNetwork::removeOffload(NodeId dst, HwTag tag, Word selector)
 {
-    auto it = tables_.find(dst);
-    if (it == tables_.end())
-        return;
-    it->second.erase(TableKey{static_cast<int>(tag), selector});
+    if (dst < tables_.size())
+        tables_[dst].erase(TableKey{static_cast<int>(tag), selector});
 }
 
 std::uint64_t
 NicamNetwork::offloadHits(NodeId dst, HwTag tag, Word selector) const
 {
-    auto it = tables_.find(dst);
-    if (it == tables_.end())
+    if (dst >= tables_.size())
         return 0;
-    auto jt =
-        it->second.find(TableKey{static_cast<int>(tag), selector});
-    return jt == it->second.end() ? 0 : jt->second.hits;
+    const Table &table = tables_[dst];
+    auto it = table.find(TableKey{static_cast<int>(tag), selector});
+    return it == table.end() ? 0 : it->second.hits;
 }
 
 int
 NicamNetwork::offloadEntries(NodeId dst) const
 {
-    auto it = tables_.find(dst);
-    return it == tables_.end() ? 0
-                               : static_cast<int>(it->second.size());
+    return dst < tables_.size() ? static_cast<int>(tables_[dst].size())
+                                : 0;
 }
 
 bool
 NicamNetwork::consumeAtEdge(const Packet &pkt)
 {
     // NIC handler-table lookup (hardware match-action; uncharged).
-    auto nt = tables_.find(pkt.dst);
-    if (nt == tables_.end() || nt->second.empty())
+    if (pkt.dst >= tables_.size() || tables_[pkt.dst].empty())
         return false;
+    Table &table = tables_[pkt.dst];
     const TableKey key{static_cast<int>(pkt.tag),
                        hdr::fieldA(pkt.header)};
-    auto entry = nt->second.find(key);
-    if (entry == nt->second.end()) {
+    auto entry = table.find(key);
+    if (entry == table.end()) {
         ++offloadMisses_; // non-empty table, no match: host fallback
         return false;
     }

@@ -26,6 +26,7 @@
 #include <functional>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "cm5net/cm5_network.hh"
 
@@ -98,7 +99,10 @@ class NicamNetwork : public Cm5Network
     };
 
     int maxOffloadEntries_;
-    std::map<NodeId, std::map<TableKey, OffloadEntry>> tables_;
+    using Table = std::map<TableKey, OffloadEntry>;
+
+    /// Per-node handler tables (sized on the first offloadHandler()).
+    std::vector<Table> tables_;
     std::uint64_t offloadHits_ = 0;
     std::uint64_t offloadMisses_ = 0;
     std::uint64_t offloadCrcDrops_ = 0;

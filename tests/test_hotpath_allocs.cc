@@ -71,40 +71,49 @@ struct Rig
     }
 };
 
+std::unique_ptr<Network>
+makeNet(Fabric f, Simulator &sim, std::uint32_t nodes,
+        OrderPolicyFactory order = nullptr,
+        const FaultInjector::Config &faults = {})
+{
+    switch (f) {
+      case Fabric::Cm5: {
+        Cm5Network::Config cfg;
+        cfg.nodes = nodes;
+        cfg.orderFactory = std::move(order);
+        cfg.faults = faults;
+        return std::make_unique<Cm5Network>(sim, cfg);
+      }
+      case Fabric::Cr: {
+        CrNetwork::Config cfg;
+        cfg.nodes = nodes;
+        cfg.faults = faults;
+        return std::make_unique<CrNetwork>(sim, cfg);
+      }
+      case Fabric::Rdma: {
+        RdmaNetwork::Config cfg;
+        cfg.nodes = nodes;
+        cfg.faults = faults;
+        return std::make_unique<RdmaNetwork>(sim, cfg);
+      }
+      case Fabric::Nicam: {
+        NicamNetwork::Config cfg;
+        cfg.nodes = nodes;
+        cfg.orderFactory = std::move(order);
+        cfg.faults = faults;
+        return std::make_unique<NicamNetwork>(sim, cfg);
+      }
+    }
+    return nullptr;
+}
+
 std::unique_ptr<Rig>
 makeRig(Fabric f, std::uint32_t words, OrderPolicyFactory order = nullptr,
         const FaultInjector::Config &faults = {})
 {
     auto rig = std::make_unique<Rig>();
     rig->words = words;
-    switch (f) {
-      case Fabric::Cm5: {
-        Cm5Network::Config cfg;
-        cfg.orderFactory = std::move(order);
-        cfg.faults = faults;
-        rig->net = std::make_unique<Cm5Network>(rig->sim, cfg);
-        break;
-      }
-      case Fabric::Cr: {
-        CrNetwork::Config cfg;
-        cfg.faults = faults;
-        rig->net = std::make_unique<CrNetwork>(rig->sim, cfg);
-        break;
-      }
-      case Fabric::Rdma: {
-        RdmaNetwork::Config cfg;
-        cfg.faults = faults;
-        rig->net = std::make_unique<RdmaNetwork>(rig->sim, cfg);
-        break;
-      }
-      case Fabric::Nicam: {
-        NicamNetwork::Config cfg;
-        cfg.orderFactory = std::move(order);
-        cfg.faults = faults;
-        rig->net = std::make_unique<NicamNetwork>(rig->sim, cfg);
-        break;
-      }
-    }
+    rig->net = makeNet(f, rig->sim, 4, std::move(order), faults);
     Rig *r = rig.get();
     rig->net->attach(1, [r](Packet &&p) { return r->sink(p); });
     return rig;
@@ -201,6 +210,114 @@ TEST(HotPath, CrHardwareRetryVerdictsDoNotCopy)
     EXPECT_EQ(rig->delivered,
               static_cast<std::uint64_t>(kWarmPackets + kMeasuredPackets));
 }
+
+class ManyFlows : public ::testing::TestWithParam<Fabric>
+{
+};
+
+TEST_P(ManyFlows, AllToAllSecondPassAllocatesNothing)
+{
+    // 64 nodes, one packet on every (src, dst, vnet) flow per pass,
+    // all in flight at once.  The first pass sizes the flow tables
+    // and creates every flow's state; the second allocates nothing.
+    constexpr std::uint32_t nodes = 64;
+    Simulator sim;
+    auto net = makeNet(GetParam(), sim, nodes);
+    std::uint64_t delivered = 0;
+    for (NodeId d = 0; d < nodes; ++d)
+        net->attach(d, [&](Packet &&) {
+            ++delivered;
+            return true;
+        });
+
+    auto onePerFlow = [&] {
+        std::vector<Packet> pkts;
+        pkts.reserve(nodes * nodes * Network::numVnets);
+        for (NodeId s = 0; s < nodes; ++s)
+            for (NodeId d = 0; d < nodes; ++d)
+                for (int v = 0; v < Network::numVnets; ++v) {
+                    pkts.emplace_back(s, d, HwTag::UserAm, s ^ d,
+                                      std::vector<Word>(4, s + d));
+                    pkts.back().vnet = static_cast<std::uint8_t>(v);
+                }
+        return pkts;
+    };
+    const std::uint64_t flows = nodes * nodes * Network::numVnets;
+    for (Packet &p : onePerFlow())
+        net->inject(std::move(p));
+    sim.run();
+    ASSERT_EQ(delivered, flows);
+
+    std::vector<Packet> second = onePerFlow();
+    const std::uint64_t before = hostprof::globalAllocCount();
+    for (Packet &p : second)
+        net->inject(std::move(p));
+    sim.run();
+    EXPECT_EQ(hostprof::globalAllocCount() - before, 0u);
+    EXPECT_EQ(delivered, 2 * flows);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFabrics, ManyFlows,
+    ::testing::Values(Fabric::Cm5, Fabric::Cr, Fabric::Rdma,
+                      Fabric::Nicam),
+    [](const auto &info) { return std::string(name(info.param)); });
+
+class BackedUpFlow : public ::testing::TestWithParam<Fabric>
+{
+};
+
+TEST_P(BackedUpFlow, RefusalBacklogAllocatesNothing)
+{
+    // Bursts of packets on one in-order flow behind a sink that
+    // refuses 3 of every 4 offers: the flow's queue holds a backlog
+    // of up to a burst and cycles through it.  Once it has grown to
+    // that size, thousands more packets allocate nothing.
+    constexpr int burst = 64;
+    constexpr int warmBursts = 10;
+    constexpr int measuredBursts = 80; // 5,120 packets
+    Simulator sim;
+    auto net = makeNet(GetParam(), sim, 4);
+    std::uint64_t offers = 0;
+    std::vector<Word> got;
+    got.reserve(static_cast<std::size_t>(burst) *
+                (warmBursts + measuredBursts));
+    net->attach(1, [&](Packet &&p) {
+        if (offers++ % 4 != 3)
+            return false;
+        got.push_back(p.header);
+        return true;
+    });
+
+    Word next = 0;
+    auto run = [&](int bursts) {
+        std::vector<Packet> pkts;
+        pkts.reserve(static_cast<std::size_t>(burst) * bursts);
+        for (int i = 0; i < burst * bursts; ++i)
+            pkts.emplace_back(0, 1, HwTag::UserAm, next + i,
+                              std::vector<Word>(4, next + i));
+        next += static_cast<Word>(burst * bursts);
+        const std::uint64_t before = hostprof::globalAllocCount();
+        for (int b = 0; b < bursts; ++b) {
+            for (int i = 0; i < burst; ++i)
+                net->inject(std::move(pkts[b * burst + i]));
+            sim.run();
+        }
+        return hostprof::globalAllocCount() - before;
+    };
+    run(warmBursts);
+    EXPECT_EQ(run(measuredBursts), 0u);
+
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(next));
+    for (Word i = 0; i < next; ++i)
+        ASSERT_EQ(got[i], i) << "order broken";
+    EXPECT_EQ(net->stats().deliveryRetries, 3 * std::uint64_t{next});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    InOrderFabrics, BackedUpFlow,
+    ::testing::Values(Fabric::Cr, Fabric::Rdma),
+    [](const auto &info) { return std::string(name(info.param)); });
 
 } // namespace
 } // namespace msgsim

@@ -8,10 +8,12 @@
  * and the in-order fabrics redeliver it unchanged.  Finally, the
  * fabric equivalences: NicamNetwork with no matching handler is
  * Cm5Network, and RdmaNetwork is CrNetwork, delivery for delivery.
+ * And flow ids outside the fabric panic at injection.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <tuple>
@@ -25,6 +27,7 @@
 #include "packet_match.hh"
 #include "rdmanet/rdma_network.hh"
 #include "sim/event.hh"
+#include "sim/log.hh"
 
 namespace msgsim
 {
@@ -101,6 +104,55 @@ TEST(Cm5Network, SwapAdjacentPolicyScramblesDeterministically)
         net.inject(mkPacket(0, 2, i));
     sim.run();
     EXPECT_EQ(got, (std::vector<Word>{1, 0, 3, 2, 5, 4}));
+}
+
+TEST(Cm5Network, FlushReleasesHeldPacketsInFlowOrder)
+{
+    // One packet held by the swap-adjacent stage of each of several
+    // flows, the flows first touched in scrambled order; a two-packet
+    // flow that holds nothing.  Flushing releases the held packets in
+    // ascending (src, dst, vnet) order, whatever the touch order.
+    Simulator sim;
+    Cm5Network::Config cfg;
+    cfg.nodes = 4;
+    cfg.orderFactory = swapAdjacentFactory();
+    Cm5Network net(sim, cfg);
+
+    using Flow = std::tuple<NodeId, NodeId, int>;
+    std::vector<Flow> got;
+    for (NodeId d = 0; d < 4; ++d) {
+        net.attach(d, [&](Packet &&p) {
+            got.emplace_back(p.src, p.dst, p.vnet);
+            return true;
+        });
+    }
+    const std::vector<Flow> held = {{3, 0, 1}, {0, 2, 0}, {2, 1, 0},
+                                    {0, 2, 1}, {1, 3, 0}, {0, 1, 0},
+                                    {3, 0, 0}};
+    for (const auto &[src, dst, vnet] : held) {
+        Packet p = mkPacket(src, dst, 0);
+        p.vnet = static_cast<std::uint8_t>(vnet);
+        ASSERT_TRUE(net.inject(std::move(p)));
+        sim.run();
+    }
+    for (Word i = 0; i < 2; ++i)
+        ASSERT_TRUE(net.inject(mkPacket(1, 0, i)));
+    sim.run();
+    ASSERT_EQ(got, (std::vector<Flow>{{1, 0, 0}, {1, 0, 0}}));
+
+    got.clear();
+    net.flushHeldPackets();
+    sim.run();
+    std::vector<Flow> sorted = held;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(got, sorted);
+
+    // Nothing is held any more: a second flush releases nothing.
+    got.clear();
+    net.flushHeldPackets();
+    sim.run();
+    EXPECT_TRUE(got.empty());
+    EXPECT_EQ(net.stats().delivered, held.size() + 2);
 }
 
 TEST(Cm5Network, BackpressureRetriesUntilSinkAccepts)
@@ -556,6 +608,89 @@ TEST(FabricEquivalence, RdmaIsCr)
     Simulator rdmaSim;
     RdmaNetwork rdma(rdmaSim, cfg);
     expectSameRun(driveFabric(rdmaSim, rdma), crRun);
+}
+
+// ----------------------------------------------------------------
+// Flow ids outside the fabric: inject() panics (never indexes out of
+// bounds), gated or not, and leaves the fabric as it was; so does
+// attaching a node outside it.
+// ----------------------------------------------------------------
+
+template <typename Net>
+class BadFlowId : public ::testing::Test
+{
+};
+
+using AllFabrics =
+    ::testing::Types<Cm5Network, CrNetwork, RdmaNetwork, NicamNetwork>;
+TYPED_TEST_SUITE(BadFlowId, AllFabrics);
+
+struct ThrowOnError
+{
+    ThrowOnError() { log_detail::throwOnError = true; }
+    ~ThrowOnError() { log_detail::throwOnError = false; }
+};
+
+/** A gate that keeps every captured packet. */
+struct KeepGate : ScheduleGate
+{
+    std::vector<Packet> captured;
+    void
+    capture(Packet &&pkt) override
+    {
+        captured.push_back(std::move(pkt));
+    }
+};
+
+TYPED_TEST(BadFlowId, InjectPanics)
+{
+    ThrowOnError guard;
+    for (const bool gated : {false, true}) {
+        Simulator sim;
+        typename TypeParam::Config cfg;
+        cfg.nodes = 4;
+        TypeParam net(sim, cfg);
+        KeepGate gate;
+        if (gated)
+            net.setScheduleGate(&gate);
+        std::vector<Packet> got;
+        for (NodeId d = 0; d < 4; ++d) {
+            net.attach(d, [&](Packet &&p) {
+                got.push_back(std::move(p));
+                return true;
+            });
+        }
+
+        std::vector<Packet> bad = {
+            mkPacket(4, 1, 1),           mkPacket(0, 4, 2),
+            mkPacket(invalidNode, 1, 3), mkPacket(0, invalidNode, 4),
+            mkPacket(0, 1, 5),           mkPacket(0, 1, 6)};
+        bad[4].vnet = Network::numVnets;
+        bad[5].vnet = 255;
+        for (const Packet &p : bad)
+            EXPECT_THROW(net.inject(Packet(p)), log_detail::SimError)
+                << "gated=" << gated << " src=" << p.src
+                << " dst=" << p.dst << " vnet=" << int(p.vnet);
+        EXPECT_EQ(net.stats().injected, 0u) << "gated=" << gated;
+        EXPECT_TRUE(gate.captured.empty());
+        EXPECT_THROW(net.attach(4, [](Packet &&) { return true; }),
+                     log_detail::SimError);
+
+        // The fabric is unharmed: a good packet still goes through,
+        // first in the injection sequence.
+        Packet good = mkPacket(3, 2, 7);
+        good.vnet = Network::numVnets - 1;
+        ASSERT_TRUE(net.inject(std::move(good)));
+        sim.run();
+        if (gated) {
+            ASSERT_EQ(gate.captured.size(), 1u);
+            EXPECT_EQ(gate.captured[0].injectSeq, 0u);
+        } else {
+            ASSERT_EQ(got.size(), 1u);
+            EXPECT_EQ(got[0].injectSeq, 0u);
+            EXPECT_EQ(got[0].header, 7u);
+        }
+    }
 }
 
 } // namespace

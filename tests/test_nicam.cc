@@ -15,6 +15,7 @@
 #include "nicam/nicam_stack.hh"
 #include "prof/profile.hh"
 #include "sim/event.hh"
+#include "sim/log.hh"
 
 namespace msgsim
 {
@@ -47,6 +48,22 @@ TEST(NicamNetwork, OffloadTableIsBounded)
     net.removeOffload(1, HwTag::UserAm, 1);
     EXPECT_TRUE(net.offloadHandler(1, HwTag::UserAm, 3,
                                    [](const Packet &) {}));
+}
+
+TEST(NicamNetwork, OffloadOutsideFabricPanics)
+{
+    log_detail::throwOnError = true;
+    Simulator sim;
+    NicamNetwork::Config cfg;
+    cfg.nodes = 2;
+    NicamNetwork net(sim, cfg);
+    EXPECT_THROW(net.offloadHandler(2, HwTag::UserAm, 1,
+                                    [](const Packet &) {}),
+                 log_detail::SimError);
+    log_detail::throwOnError = false;
+    EXPECT_EQ(net.offloadEntries(2), 0);
+    EXPECT_EQ(net.offloadHits(2, HwTag::UserAm, 1), 0u);
+    net.removeOffload(2, HwTag::UserAm, 1); // no-op, like any absent entry
 }
 
 TEST(NicamNetwork, HitsRunOnNicMissesFallToHost)

@@ -42,6 +42,14 @@
 #                                -j, the Perfetto ph:"C" counter-track
 #                                schema check, a heatmap/report smoke,
 #                                and the samples/s trajectory entry
+#   ./verify.sh --hostbench      opt-in, never part of the full run:
+#                                the host-cost benchmark's determinism
+#                                test (hostbench/test_determinism.py
+#                                --seconds 1: per workload, counts and
+#                                digest identical across two seed-1
+#                                runs, no failed operation at seeds 1
+#                                and 2); fails on any mismatch.  Builds
+#                                into .bench_build/, takes ~30 s
 set -euo pipefail
 
 repo_dir="$(cd "$(dirname "$0")" && pwd)"
@@ -491,6 +499,12 @@ fi
 if [[ "${1:-}" == "--hostprof" ]]; then
     check_hostprof
     echo "verify --hostprof: OK"
+    exit 0
+fi
+
+if [[ "${1:-}" == "--hostbench" ]]; then
+    (cd "$repo_dir" && python3 hostbench/test_determinism.py --seconds 1)
+    echo "verify --hostbench: OK"
     exit 0
 fi
 
