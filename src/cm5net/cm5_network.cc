@@ -18,8 +18,6 @@ Cm5Network::Cm5Network(Simulator &sim, const Config &cfg,
       deliverSite_(deliver), tree_(cfg.nodes, arity),
       faults_(cfg.faults), rng_(cfg.seed)
 {
-    if (!cfg_.orderFactory)
-        cfg_.orderFactory = fifoOrderFactory();
 }
 
 OrderPolicy &
@@ -109,6 +107,12 @@ void
 Cm5Network::arriveAtEdge(Packet &&pkt)
 {
     hostprof::HostScope hs(deliverSite_);
+    if (!cfg_.orderFactory) {
+        // FIFO: a stage that releases each packet as it arrives, so
+        // there is nothing to hold, create or flush.
+        tryDeliver(std::move(pkt));
+        return;
+    }
     OrderPolicy &policy = policyFor(pkt);
     ++held_;
     releaseFrom([&](std::vector<Packet> &release) {

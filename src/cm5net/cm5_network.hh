@@ -57,7 +57,9 @@ class Cm5Network : public Network
         double injectBusyRate = 0.0; ///< P(injection port busy) per try
         std::uint64_t seed = 0xc0ffeeULL;
         FaultInjector::Config faults;
-        OrderPolicyFactory orderFactory; ///< default: FIFO
+        /// Per-flow order stage; empty (the default) is FIFO, which
+        /// needs no stage: packets go straight to the sink.
+        OrderPolicyFactory orderFactory;
     };
 
     static constexpr std::uint32_t arity = 4; ///< fat-tree arity (CM-5)
@@ -130,7 +132,7 @@ class Cm5Network : public Network
     Rng rng_;
     /// Order stages by flow slot (sized on first arrival; a flow's
     /// stage is created on its own first arrival, so per-flow seeds
-    /// are drawn in flow-arrival order).
+    /// are drawn in flow-arrival order).  Never sized under FIFO.
     std::vector<std::unique_ptr<OrderPolicy>> policies_;
     /// Packets held inside order stages (arrived, not yet released).
     std::size_t held_ = 0;

@@ -34,7 +34,7 @@ Cmam::setControlSink(CtrlOp op, ControlSink fn)
 }
 
 void
-Cmam::am4(NodeId dst, int handler, const std::vector<Word> &args)
+Cmam::am4(NodeId dst, int handler, std::span<const Word> args)
 {
     // Handler indices name a slot in the *destination's* table; only
     // range-check against the (machine-wide) table size here.
@@ -45,7 +45,7 @@ Cmam::am4(NodeId dst, int handler, const std::vector<Word> &args)
 }
 
 void
-Cmam::am4Reply(NodeId dst, int handler, const std::vector<Word> &args)
+Cmam::am4Reply(NodeId dst, int handler, std::span<const Word> args)
 {
     if (handler < 0 || handler >= cfg_.maxHandlers)
         msgsim_fatal("am4Reply: handler index ", handler,
@@ -57,7 +57,7 @@ Cmam::am4Reply(NodeId dst, int handler, const std::vector<Word> &args)
 
 void
 Cmam::sendControl(NodeId dst, CtrlOp op, Word hdrArg,
-                  const std::vector<Word> &args, int vnet)
+                  std::span<const Word> args, int vnet)
 {
     sendTagged(HwTag::Control, dst,
                hdr::pack(static_cast<std::uint32_t>(op), hdrArg), args,
@@ -77,7 +77,7 @@ Cmam::chargeSyscall()
 
 void
 Cmam::sendTagged(HwTag tag, NodeId dst, Word header,
-                 const std::vector<Word> &args, int lenWords, int vnet)
+                 std::span<const Word> args, int lenWords, int vnet)
 {
     chargeSyscall();
     if (lenWords == 0)
@@ -371,7 +371,10 @@ Cmam::genericReceive(const Packet &head)
         RowScope r(a, CostRow::ReadNi);
         header = ni.readRecvHeader(a);
     }
-    std::vector<Word> args(static_cast<std::size_t>(n));
+    // Borrow the member args buffer for this dispatch (returned
+    // below); a nested poll inside the handler gets its own.
+    std::vector<Word> args = std::move(argsBuf_);
+    args.resize(static_cast<std::size_t>(n));
     {
         RowScope r(a, CostRow::ReadNi);
         for (int i = 0; i < n; i += 2) {
@@ -399,6 +402,7 @@ Cmam::genericReceive(const Packet &head)
             msgsim_panic("control packet with no sink, op ", sel);
         ctrlSinks_[sel](src, hdr::fieldB(header), args);
     }
+    argsBuf_ = std::move(args);
 }
 
 void

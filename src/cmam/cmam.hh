@@ -27,6 +27,8 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "cmam/segment.hh"
@@ -117,6 +119,9 @@ class Cmam
 
     // ------------------------------------------------------------
     // Send paths.  The caller scopes the feature; rows are set here.
+    // Payloads are borrowed views (std::span): a vector, an array or
+    // a braced list (the std::initializer_list overloads) binds with
+    // no temporary container.
     // ------------------------------------------------------------
 
     /**
@@ -124,7 +129,12 @@ class Cmam
      * (zero-padded to the hardware packet size).  Source cost at
      * n = 4: 20 instructions (Table 1).
      */
-    void am4(NodeId dst, int handler, const std::vector<Word> &args);
+    void am4(NodeId dst, int handler, std::span<const Word> args);
+    void
+    am4(NodeId dst, int handler, std::initializer_list<Word> args)
+    {
+        am4(dst, handler, std::span<const Word>(args));
+    }
 
     /**
      * CMAM_reply_4: the reply-class active message, identical in cost
@@ -132,8 +142,12 @@ class Cmam
      * past backed-up requests (footnote 6).  Use inside handlers that
      * answer a request.
      */
-    void am4Reply(NodeId dst, int handler,
-                  const std::vector<Word> &args);
+    void am4Reply(NodeId dst, int handler, std::span<const Word> args);
+    void
+    am4Reply(NodeId dst, int handler, std::initializer_list<Word> args)
+    {
+        am4Reply(dst, handler, std::span<const Word>(args));
+    }
 
     /**
      * Send a messaging-layer control packet (same cost as am4).
@@ -142,7 +156,13 @@ class Cmam
      * requests (paper footnote 6).
      */
     void sendControl(NodeId dst, CtrlOp op, Word hdrArg,
-                     const std::vector<Word> &args, int vnet = 0);
+                     std::span<const Word> args, int vnet = 0);
+    void
+    sendControl(NodeId dst, CtrlOp op, Word hdrArg,
+                std::initializer_list<Word> args, int vnet = 0)
+    {
+        sendControl(dst, op, hdrArg, std::span<const Word>(args), vnet);
+    }
 
     /**
      * The shared single-packet injection sequence: control-word
@@ -152,8 +172,16 @@ class Cmam
      * stream protocol) pass 0 for a full hardware packet.
      */
     void sendTagged(HwTag tag, NodeId dst, Word header,
-                    const std::vector<Word> &args, int lenWords = 4,
+                    std::span<const Word> args, int lenWords = 4,
                     int vnet = 0);
+    void
+    sendTagged(HwTag tag, NodeId dst, Word header,
+               std::initializer_list<Word> args, int lenWords = 4,
+               int vnet = 0)
+    {
+        sendTagged(tag, dst, header, std::span<const Word>(args),
+                   lenWords, vnet);
+    }
 
     /**
      * CMAM_xfer_N: stream @p words words starting at @p srcBuf into
@@ -225,6 +253,13 @@ class Cmam
     Config cfg_;
     SegmentTable segs_;
     Addr niBaseAddr_; ///< memory word caching the NI base address
+
+    /// Handler-argument buffer, borrowed by genericReceive for one
+    /// dispatch (moved out, filled, passed to the handler, moved
+    /// back), so steady-state dispatch allocates nothing.  A poll
+    /// nested inside a handler finds it moved out and gets a fresh
+    /// buffer, never the outer handler's args.
+    std::vector<Word> argsBuf_;
 
     std::vector<AmHandler> handlers_;
     std::array<ControlSink, static_cast<std::size_t>(CtrlOp::NumOps)>

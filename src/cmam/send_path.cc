@@ -11,7 +11,7 @@ namespace msgsim
 
 void
 singlePacketSend(Node &node, Addr niBaseAddr, HwTag tag, NodeId dst,
-                 Word header, const std::vector<Word> &args,
+                 Word header, std::span<const Word> args,
                  int lenWords, int vnet)
 {
     Processor &p = node.proc();

@@ -13,7 +13,7 @@
 #ifndef MSGSIM_CMAM_SEND_PATH_HH
 #define MSGSIM_CMAM_SEND_PATH_HH
 
-#include <vector>
+#include <span>
 
 #include "machine/node.hh"
 #include "net/packet.hh"
@@ -34,7 +34,7 @@ constexpr int amPacketWords = 4;
  * size).  Retries the push until send_ok.
  */
 void singlePacketSend(Node &node, Addr niBaseAddr, HwTag tag, NodeId dst,
-                      Word header, const std::vector<Word> &args,
+                      Word header, std::span<const Word> args,
                       int lenWords = amPacketWords, int vnet = 0);
 
 /**

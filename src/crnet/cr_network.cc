@@ -75,18 +75,6 @@ CrNetwork::arrive(Packet &&pkt)
 }
 
 void
-CrNetwork::PacketRing::grow()
-{
-    // Re-linearize into a ring of twice the size (oldest first).
-    std::vector<Packet> bigger(slots_.empty() ? 4 : 2 * slots_.size());
-    for (std::size_t i = 0; i < count_; ++i)
-        bigger[i] =
-            std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
-    slots_.swap(bigger);
-    head_ = 0;
-}
-
-void
 CrNetwork::drain(FlowState &state)
 {
     // Reject-retry closures re-enter here outside arrive().

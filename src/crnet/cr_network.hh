@@ -29,6 +29,7 @@
 #include "hostprof/hostprof.hh"
 #include "net/fault.hh"
 #include "net/network.hh"
+#include "net/packet_ring.hh"
 #include "net/topology.hh"
 
 namespace msgsim
@@ -78,46 +79,9 @@ class CrNetwork : public Network
     bool injectImpl(Packet &&pkt) override;
 
   private:
-    /**
-     * A flow's arrived-but-unaccepted packets, oldest first: a ring
-     * over a power-of-two vector that doubles only when full, so a
-     * backed-up flow stops allocating once its ring covers its
-     * backlog.
-     */
-    class PacketRing
-    {
-      public:
-        bool empty() const { return count_ == 0; }
-        Packet &front() { return slots_[head_]; }
-
-        void
-        pop_front()
-        {
-            head_ = (head_ + 1) & (slots_.size() - 1);
-            --count_;
-        }
-
-        void
-        push_back(Packet &&pkt)
-        {
-            if (count_ == slots_.size())
-                grow();
-            slots_[(head_ + count_) & (slots_.size() - 1)] =
-                std::move(pkt);
-            ++count_;
-        }
-
-      private:
-        void grow();
-
-        std::vector<Packet> slots_;
-        std::size_t head_ = 0;
-        std::size_t count_ = 0;
-    };
-
     struct FlowState
     {
-        PacketRing queue; ///< arrived, not yet accepted
+        PacketRing queue; ///< arrived, not yet accepted (oldest first)
         bool drainScheduled = false;
         /// Earliest arrival tick of the flow's next packet (order
         /// preservation: never before its predecessor).

@@ -1,5 +1,8 @@
 #include "machine/machine.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "sim/log.hh"
 
 namespace msgsim
@@ -34,11 +37,37 @@ Machine::node(NodeId id)
 void
 Machine::settle(std::uint64_t maxEvents)
 {
+    (void)settleImpl(maxEvents, /*stopOnRefusal=*/false);
+}
+
+bool
+Machine::settleUntilRefused(std::uint64_t maxEvents)
+{
+    return settleImpl(maxEvents, /*stopOnRefusal=*/true);
+}
+
+bool
+Machine::settleImpl(std::uint64_t maxEvents, bool stopOnRefusal)
+{
+    // Events between refusal checks: a receiver whose FIFO filled is
+    // polled within this many events of its first refusal.
+    constexpr std::uint64_t refusalSlice = 1024;
+    if (maxEvents == 0) // unlimited, as for Simulator::run
+        maxEvents = std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t slice = stopOnRefusal ? refusalSlice : maxEvents;
+    const std::uint64_t refusals = net_->stats().deliveryRetries;
     for (int round = 0; round < 64; ++round) {
-        sim_.run(maxEvents);
+        // Up to maxEvents per round, as one run or in slices; the
+        // events and their order are the same either way.
+        for (std::uint64_t ran = 0; ran < maxEvents && !sim_.idle();) {
+            ran += sim_.run(std::min(slice, maxEvents - ran));
+            if (stopOnRefusal &&
+                net_->stats().deliveryRetries != refusals)
+                return false;
+        }
         net_->flushHeldPackets();
         if (sim_.idle())
-            return;
+            return true;
     }
     msgsim_panic("machine failed to settle: order stages keep "
                  "producing work");

@@ -61,7 +61,20 @@ class Machine
      */
     void settle(std::uint64_t maxEvents = 10'000'000);
 
+    /**
+     * settle(), but return false as soon as the fabric refuses a
+     * delivery (NetStats::deliveryRetries grows; checked every 1,024
+     * events).  A full receive FIFO only drains when its node polls,
+     * and nothing polls while the event loop runs, so a caller that
+     * polls between settles must get control back.  True when
+     * quiescent.  While no delivery is refused it executes exactly
+     * the events settle() would, in the same order.
+     */
+    bool settleUntilRefused(std::uint64_t maxEvents = 10'000'000);
+
   private:
+    bool settleImpl(std::uint64_t maxEvents, bool stopOnRefusal);
+
     Config cfg_;
     Simulator sim_;
     std::unique_ptr<Network> net_;

@@ -47,6 +47,18 @@
  * link-bandwidth pacing ticks) is a vector indexed by node id.
  * Cm5Network counts the packets held inside its order stages (held_),
  * so a flush with nothing held costs nothing.
+ *
+ * Payload storage is recycled per fabric.  Packet::data stays a
+ * std::vector<Word> (every layer reads it), but the NI stages each
+ * outgoing packet into a vector taken from this fabric's list of
+ * recycled payloads (takePayload) and hands the vector back when
+ * software reads the packet's last word (recyclePayload).  One list
+ * per Network, so concurrent fabrics never share one; it is empty at
+ * construction, reserved once on the first recycle, and after
+ * warm-up holds as many vectors as were ever outstanding at once, so
+ * the send-to-receive path allocates no payloads.  Packets that leave
+ * the fabric any other way (drops, CRC discards, on-NIC dispatch, a
+ * sink that keeps them) simply free theirs.
  */
 
 #ifndef MSGSIM_NET_NETWORK_HH
@@ -246,6 +258,38 @@ class Network
     /** Account a gate decision to duplicate @p pkt. */
     void gateDuplicate(const Packet &pkt);
 
+    // ------------------------------------------------------------
+    // Payload recycling.  A consumer that is done with a packet's
+    // data hands the vector back; the next packet staged on any NI
+    // of this fabric takes it instead of allocating.
+    // ------------------------------------------------------------
+
+    /** An empty payload vector, recycled (with its capacity) when
+     *  one is free. */
+    std::vector<Word>
+    takePayload()
+    {
+        if (freePayloads_.empty())
+            return {};
+        std::vector<Word> words = std::move(freePayloads_.back());
+        freePayloads_.pop_back();
+        return words;
+    }
+
+    /** Return a consumed packet's payload storage for reuse. */
+    void
+    recyclePayload(std::vector<Word> &&words)
+    {
+        if (words.capacity() == 0)
+            return;
+        // Reserved once, on first use, so a short-lived fabric pays
+        // one allocation for the list rather than a doubling series.
+        if (freePayloads_.capacity() == 0)
+            freePayloads_.reserve(payloadListReserve);
+        words.clear();
+        freePayloads_.push_back(std::move(words));
+    }
+
   protected:
     /** Record a packet event if a tracer or lineage hooks are attached. */
     void
@@ -387,6 +431,12 @@ class Network
     /// Packet carry pool (park/unpark): slots and recycled indices.
     std::vector<Packet> parked_;
     std::vector<std::uint32_t> freeSlots_;
+    /// Recycled payload vectors (takePayload/recyclePayload); empty
+    /// until the first recycle, then reserved to this many entries.
+    /// It grows past that only while more payloads are outstanding
+    /// at once than ever before.
+    static constexpr std::size_t payloadListReserve = 32;
+    std::vector<std::vector<Word>> freePayloads_;
 };
 
 } // namespace msgsim

@@ -73,12 +73,6 @@ RandomWindowOrder::flush(std::vector<Packet> &release)
 }
 
 OrderPolicyFactory
-fifoOrderFactory()
-{
-    return [] { return std::make_unique<FifoOrder>(); };
-}
-
-OrderPolicyFactory
 swapAdjacentFactory()
 {
     return [] { return std::make_unique<SwapAdjacentOrder>(); };

@@ -127,7 +127,6 @@ class RandomWindowOrder : public OrderPolicy
 };
 
 /** Factory helpers. */
-OrderPolicyFactory fifoOrderFactory();
 OrderPolicyFactory swapAdjacentFactory();
 OrderPolicyFactory pairSwapChanceFactory(double swapChance,
                                          std::uint64_t seed);

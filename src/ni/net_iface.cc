@@ -34,7 +34,7 @@ NetIface::writeSendCtl(Accounting &acct, NodeId dst, HwTag tag,
                      cfg_.dataWords, ")");
     if (vnet < 0 || vnet >= Network::numVnets)
         msgsim_panic("bad virtual network ", vnet);
-    staged_.emplace(id_, dst, tag, header, std::vector<Word>{});
+    staged_.emplace(id_, dst, tag, header, net_.takePayload());
     staged_->vnet = static_cast<std::uint8_t>(vnet);
     staged_->data.reserve(static_cast<std::size_t>(lenWords));
     stagedLen_ = lenWords;
@@ -134,10 +134,13 @@ NetIface::consumeData(std::size_t nwords)
 {
     if (serviceVnet_ < 0)
         msgsim_panic("NI data consume with no packet in service");
-    auto &queue = recvQueues_[static_cast<std::size_t>(serviceVnet_)];
-    const Packet &pkt = queue.front();
+    PacketRing &queue = recvQueues_[static_cast<std::size_t>(serviceVnet_)];
+    Packet &pkt = queue.front();
     recvReadIndex_ += nwords;
     if (recvReadIndex_ >= pkt.data.size()) {
+        // The last word is read: the payload storage goes back to the
+        // fabric for the next staged packet.
+        net_.recyclePayload(std::move(pkt.data));
         queue.pop_front();
         recvReadIndex_ = 0;
         serviceVnet_ = -1;

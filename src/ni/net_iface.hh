@@ -20,6 +20,17 @@
  * 4.1).  For Compressionless Routing an acceptance predicate can be
  * installed: the hardware consults it before accepting a packet,
  * modeling CR's resource-based header rejection.
+ *
+ * Host-side storage is allocation-free after warm-up.  writeSendCtl
+ * stages the packet into a payload vector taken from the fabric's
+ * recycled list (Network::takePayload), and the read that consumes a
+ * packet's last data word hands its vector back
+ * (Network::recyclePayload).  Each virtual network's receive FIFO is
+ * a PacketRing, which grows only when full, so once it covers the
+ * deepest backlog it never allocates again.  Above the NI, the CMAM
+ * layer reads a packet's words into one borrowed args buffer per
+ * node (Cmam::genericReceive), so the whole path from am4() to the
+ * handler allocates nothing in steady state.
  */
 
 #ifndef MSGSIM_NI_NET_IFACE_HH
@@ -27,7 +38,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -36,6 +46,7 @@
 #include "core/types.hh"
 #include "net/network.hh"
 #include "net/packet.hh"
+#include "net/packet_ring.hh"
 
 namespace msgsim
 {
@@ -245,7 +256,7 @@ class NetIface
     // Receive FIFOs, one per virtual network.  Reads are latched to
     // one queue for the duration of a packet (serviceVnet_), and the
     // reply network (1) has drain priority between packets.
-    std::array<std::deque<Packet>, Network::numVnets> recvQueues_;
+    std::array<PacketRing, Network::numVnets> recvQueues_;
     std::size_t recvReadIndex_ = 0;
     int serviceVnet_ = -1;
 

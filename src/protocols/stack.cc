@@ -56,7 +56,7 @@ Stack::Stack(const StackConfig &cfg) : cfg_(cfg)
         // exploration (drop/duplicate choices) still applies.
         NicamNetwork::Config nc;
         nc.nodes = cfg_.nodes;
-        nc.orderFactory = cfg_.order ? cfg_.order : fifoOrderFactory();
+        nc.orderFactory = cfg_.order; // empty: FIFO
         nc.faults = cfg_.faults;
         nc.maxJitter = cfg_.maxJitter;
         nc.injectBusyRate = cfg_.injectBusyRate;

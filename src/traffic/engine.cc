@@ -110,6 +110,31 @@ TrafficResult::latencyHistogram(std::uint64_t windowTicks,
     return wh;
 }
 
+void
+TrafficEngine::stashGrow(std::uint32_t ahead)
+{
+    std::uint32_t stride = stashStride_ == 0 ? 4 : 2 * stashStride_;
+    while (stride <= ahead)
+        stride *= 2;
+    const std::size_t flows = static_cast<std::size_t>(nodes_) * nodes_;
+    std::vector<StashSlot> bigger(flows * stride);
+    // A held fragment's sequence is the one in [expect, expect + old
+    // stride) at its slot's offset.
+    const std::uint32_t oldMask = stashStride_ - 1;
+    for (std::size_t f = 0; stashHeld_ > 0 && f < flows; ++f) {
+        const std::uint32_t expect = expect_[f / nodes_][f % nodes_];
+        for (std::uint32_t i = 0; i < stashStride_; ++i) {
+            const StashSlot &slot = stash_[f * stashStride_ + i];
+            if (slot.full) {
+                const std::uint32_t seq = expect + ((i - expect) & oldMask);
+                bigger[f * stride + (seq & (stride - 1))] = slot;
+            }
+        }
+    }
+    stash_.swap(bigger);
+    stashStride_ = stride;
+}
+
 TrafficEngine::TrafficEngine(Stack &stack) : stack_(stack)
 {
     const std::uint32_t n = stack_.machine().nodeCount();
@@ -187,7 +212,6 @@ TrafficEngine::onData(NodeId self, NodeId src,
       case TrafficProto::Seq: {
         const std::uint32_t fragSeq = metaSeq(meta);
         std::uint32_t &expect = expect_[self][src];
-        auto &stash = stash_[self][src];
         FeatureScope io(a, Feature::InOrderDelivery);
         p.regOps(tc::seqCheckReg);
         if (fragSeq == expect) {
@@ -195,19 +219,26 @@ TrafficEngine::onData(NodeId self, NodeId src,
             ++expect;
             consume(self, src, meta, pay);
             // Drain every stashed fragment whose turn has come.
-            for (auto it = stash.find(expect); it != stash.end();
-                 it = stash.find(expect)) {
+            while (stashHeld_ > 0) {
+                StashSlot &slot = stashSlot(self, src, expect);
+                if (!slot.full)
+                    break;
+                slot.full = false;
+                --stashHeld_;
                 p.regOps(tc::seqDrainReg);
                 (void)p.loadWord(scratchAddr_[self]);
-                consume(self, src, packMeta(src, expect),
-                        it->second);
-                stash.erase(it);
+                consume(self, src, packMeta(src, expect), slot.pay);
                 ++expect;
             }
         } else if (fragSeq > expect) {
             p.regOps(tc::seqStashReg);
             p.storeWord(scratchAddr_[self], pay);
-            stash.emplace(fragSeq, pay);
+            if (fragSeq - expect >= stashStride_)
+                stashGrow(fragSeq - expect);
+            StashSlot &slot = stashSlot(self, src, fragSeq);
+            slot.pay = pay;
+            slot.full = true;
+            ++stashHeld_;
             ++shape_.ooo;
         } else {
             ++badPayloads_; // duplicate: impossible fault-free
@@ -280,8 +311,13 @@ TrafficEngine::run(const TrafficSpec &spec)
     badPayloads_ = 0;
     consumed_ = 0;
     expect_.assign(n, std::vector<std::uint32_t>(n, 0));
-    stash_.assign(
-        n, std::vector<std::map<std::uint32_t, Word>>(n));
+    // The stash table keeps its storage from run to run; only a run
+    // that ended with fragments held leaves any to clear.
+    if (stashHeld_ > 0) {
+        for (StashSlot &slot : stash_)
+            slot.full = false;
+        stashHeld_ = 0;
+    }
     fragsGot_.assign(n, std::vector<std::uint32_t>(n, 0));
     acksGot_.assign(n, 0);
 
@@ -290,7 +326,7 @@ TrafficEngine::run(const TrafficSpec &spec)
     // every message.  Sized here, before any hostprof scope opens.
     latFrags_ = frags;
     latMsgs_ = spec.messagesPerNode;
-    latNodes_ = n;
+    nodes_ = n;
     const std::size_t latSlots = static_cast<std::size_t>(n) * n *
                                  spec.messagesPerNode;
     msgBirth_.assign(latSlots, 0);
@@ -314,9 +350,14 @@ TrafficEngine::run(const TrafficSpec &spec)
     std::vector<std::vector<std::uint32_t>> flowSeq(
         n, std::vector<std::uint32_t>(n, 0));
 
+    // Settle, then poll every node with packets waiting.  A bounded
+    // receive FIFO that fills refuses deliveries until its node
+    // polls, so the settle hands control back at the first refusal
+    // instead of retrying into a full FIFO forever.  Unbounded FIFOs
+    // never refuse, so there it is a full settle().
     const auto drainOnce = [&]() -> bool {
         hostprof::HostScope hs(hostprof::Site::TrafficDrain);
-        stack_.settle();
+        stack_.machine().settleUntilRefused();
         bool any = false;
         for (NodeId id = 0; id < n; ++id) {
             Node &node = stack_.node(id);
@@ -381,15 +422,19 @@ TrafficEngine::run(const TrafficSpec &spec)
             return false;
         return true;
     };
-    for (int round = 0; round < 1024 && !done(); ++round)
+    // Drain until done, giving up after 1024 rounds in a row that
+    // dispatch nothing (a backpressured round always dispatches).
+    const auto dispatched = [&] {
+        return shape_.fragmentsDelivered + shape_.acksDelivered;
+    };
+    for (int stalled = 0; stalled < 1024 && !done();) {
+        const std::uint64_t before = dispatched();
         if (!drainOnce() && !done())
             break;
+        stalled = dispatched() == before ? stalled + 1 : 0;
+    }
 
-    bool stashesEmpty = true;
-    for (const auto &row : stash_)
-        for (const auto &s : row)
-            if (!s.empty())
-                stashesEmpty = false;
+    const bool stashesEmpty = stashHeld_ == 0;
 
     // Collect the completed-message timings in flow order (no
     // hostprof scope is open here, so growing the vector is fine).

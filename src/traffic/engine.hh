@@ -35,7 +35,6 @@
 #define MSGSIM_TRAFFIC_ENGINE_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -187,8 +186,38 @@ class TrafficEngine
     std::vector<Addr> scratchAddr_;
     /// seq proto: [dst][src] expected fragment sequence.
     std::vector<std::vector<std::uint32_t>> expect_;
-    /// seq proto: [dst][src] reorder stash (fragSeq -> payload).
-    std::vector<std::vector<std::map<std::uint32_t, Word>>> stash_;
+    /// seq proto: one reorder-stash slot (an out-of-order fragment).
+    struct StashSlot
+    {
+        Word pay = 0;
+        bool full = false;
+    };
+    /**
+     * seq proto: every flow's reorder stash in one flat table, sized
+     * at the first out-of-order arrival and reused by later runs.  Flow
+     * (dst, src) owns the stashStride_ slots from
+     * (dst * nodes + src) * stashStride_, and holds fragment seq at
+     * offset seq & (stashStride_ - 1).  Every held fragment lies in
+     * [expect, expect + stashStride_), so two never share a slot; a
+     * fragment beyond that window doubles the stride of the whole
+     * table (stashGrow).
+     */
+    std::vector<StashSlot> stash_;
+    std::uint32_t stashStride_ = 0;
+    std::uint64_t stashHeld_ = 0; ///< fragments held, all flows
+
+    /** The stash slot of fragment @p seq on flow (@p dst, @p src). */
+    StashSlot &
+    stashSlot(NodeId dst, NodeId src, std::uint32_t seq)
+    {
+        return stash_[(static_cast<std::size_t>(dst) * nodes_ + src) *
+                          stashStride_ +
+                      (seq & (stashStride_ - 1))];
+    }
+
+    /** Re-lay the stash table out with a stride covering @p ahead. */
+    void stashGrow(std::uint32_t ahead);
+
     /// acked proto: [dst][src] fragments seen (ack every k-th).
     std::vector<std::vector<std::uint32_t>> fragsGot_;
     /// acked proto: [src] acks consumed.
@@ -200,7 +229,7 @@ class TrafficEngine
     // index — no allocation inside hostprof scopes.
     std::uint32_t latFrags_ = 1;  ///< fragments per message
     std::uint32_t latMsgs_ = 0;   ///< messages per node
-    std::uint32_t latNodes_ = 0;
+    std::uint32_t nodes_ = 0;     ///< node count of the run
     std::vector<Tick> msgBirth_;
     std::vector<Tick> msgDone_;
     std::vector<std::uint32_t> msgFrags_;
@@ -208,7 +237,7 @@ class TrafficEngine
     std::size_t
     msgIndex(NodeId src, NodeId dst, std::uint32_t m) const
     {
-        return (static_cast<std::size_t>(src) * latNodes_ + dst) *
+        return (static_cast<std::size_t>(src) * nodes_ + dst) *
                    latMsgs_ +
                m;
     }

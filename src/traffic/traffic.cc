@@ -161,6 +161,24 @@ TrafficRunner::run(TrafficGen &gen, std::uint32_t messagesPerNode,
         before[id] = stack_.node(id).acct().counter().paperTotal();
     const Tick t0 = stack_.sim().now();
 
+    // Settle, then poll every node with packets waiting.  The settle
+    // hands control back at the first refused delivery, since a full
+    // bounded receive FIFO only drains when its node polls.  Returns
+    // true when the machine was quiescent and nothing was polled.
+    const auto drainOnce = [&] {
+        const bool quiet = stack_.machine().settleUntilRefused();
+        bool polled = false;
+        for (NodeId id = 0; id < n; ++id) {
+            Node &node = stack_.node(id);
+            if (!node.ni().hwRecvPending())
+                continue;
+            FeatureScope fs(node.acct(), Feature::BaseCost);
+            stack_.cmam(id).poll();
+            polled = true;
+        }
+        return quiet && !polled;
+    };
+
     Rng seq_rng(payloadSeed);
     for (std::uint32_t k = 0; k < messagesPerNode; ++k) {
         for (NodeId src = 0; src < n; ++src) {
@@ -174,22 +192,9 @@ TrafficRunner::run(TrafficGen &gen, std::uint32_t messagesPerNode,
             ++res.messages;
         }
         // Drain as we go so receive FIFOs stay shallow.
-        stack_.settle();
-        for (NodeId id = 0; id < n; ++id) {
-            Node &node = stack_.node(id);
-            if (!node.ni().hwRecvPending())
-                continue;
-            FeatureScope fs(node.acct(), Feature::BaseCost);
-            stack_.cmam(id).poll();
-        }
+        drainOnce();
     }
-    stack_.settle();
-    for (NodeId id = 0; id < n; ++id) {
-        Node &node = stack_.node(id);
-        if (node.ni().hwRecvPending()) {
-            FeatureScope fs(node.acct(), Feature::BaseCost);
-            stack_.cmam(id).poll();
-        }
+    while (!drainOnce()) {
     }
 
     double max_instr = 0;

@@ -58,6 +58,62 @@ TEST(Cmam, ShortPayloadZeroPadded)
     EXPECT_EQ(got, (std::vector<Word>{7, 0, 0, 0}));
 }
 
+TEST(Cmam, NestedPollLeavesOuterHandlerArgsIntact)
+{
+    // The outer handler polls its own node, which dispatches the
+    // second AM; the outer args must not be overwritten by it.
+    Stack stack(twoNodes());
+    std::vector<Word> inner, outerBefore, outerAfter;
+    const int hInner = stack.cmam(1).registerHandler(
+        [&](NodeId, const std::vector<Word> &args) { inner = args; });
+    const int hOuter = stack.cmam(1).registerHandler(
+        [&](NodeId, const std::vector<Word> &args) {
+            outerBefore = args;
+            EXPECT_EQ(stack.cmam(1).poll(), 1);
+            outerAfter = args;
+        });
+    stack.cmam(0).am4(1, hOuter, {1, 2, 3, 4});
+    stack.cmam(0).am4(1, hInner, {5, 6, 7, 8});
+    stack.settle();
+    EXPECT_EQ(stack.cmam(1).poll(), 1); // the nested poll took the other
+    EXPECT_EQ(outerBefore, (std::vector<Word>{1, 2, 3, 4}));
+    EXPECT_EQ(outerAfter, outerBefore);
+    EXPECT_EQ(inner, (std::vector<Word>{5, 6, 7, 8}));
+}
+
+TEST(Cmam, RecycledPayloadCarriesNoStaleWords)
+{
+    // A full 128-word packet's payload is recycled when its last
+    // word is read; the next am4 is staged into that same storage
+    // (and dispatched through the same args buffer) and must carry
+    // exactly its 4 words: the two sent plus zero padding.
+    StackConfig cfg = twoNodes();
+    cfg.dataWords = 128;
+    Stack stack(cfg);
+    std::vector<Word> got;
+    const int h = stack.cmam(1).registerHandler(
+        [&](NodeId, const std::vector<Word> &args) { got = args; });
+
+    std::vector<Word> full(128);
+    for (std::size_t i = 0; i < full.size(); ++i)
+        full[i] = 0xdead0000u + static_cast<Word>(i);
+    stack.cmam(0).sendTagged(HwTag::UserAm, 1,
+                             hdr::pack(static_cast<std::uint32_t>(h), 0),
+                             full, /*lenWords=*/0);
+    stack.settle();
+    stack.cmam(1).poll();
+    ASSERT_EQ(got, full);
+
+    stack.cmam(0).am4(1, h, {5, 6});
+    stack.settle();
+    const Packet *head = stack.node(1).ni().hwPeekRecv();
+    ASSERT_NE(head, nullptr);
+    EXPECT_GE(head->data.capacity(), 128u) << "payload was not recycled";
+    EXPECT_EQ(head->data, (std::vector<Word>{5, 6, 0, 0}));
+    stack.cmam(1).poll();
+    EXPECT_EQ(got, (std::vector<Word>{5, 6, 0, 0}));
+}
+
 TEST(Cmam, PollDrainsMultiplePackets)
 {
     Stack stack(twoNodes());

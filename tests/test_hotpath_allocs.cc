@@ -9,6 +9,10 @@
  * once the carry pool and the event heap have grown to their steady
  * size.  Counted with the process-wide interposed operator new, so
  * the gate is deterministic: the number is exact, not a timing.
+ *
+ * The same holds one level up, for the active-message path on the
+ * CMAM stacks (AmPath) and for a traffic engine's per-fragment work
+ * (TrafficEngineAllocs).
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +29,9 @@
 #include "nicam/nicam_network.hh"
 #include "net/order.hh"
 #include "rdmanet/rdma_network.hh"
+#include "protocols/stack.hh"
 #include "sim/event.hh"
+#include "traffic/engine.hh"
 
 namespace msgsim
 {
@@ -318,6 +324,143 @@ INSTANTIATE_TEST_SUITE_P(
     InOrderFabrics, BackedUpFlow,
     ::testing::Values(Fabric::Cr, Fabric::Rdma),
     [](const auto &info) { return std::string(name(info.param)); });
+
+// ----------------------------------------------------------------
+// The active-message path above the fabric: am4 from the caller's
+// braced list through the NI's staged payload, the receive FIFO and
+// the handler's args, and the reply back.
+// ----------------------------------------------------------------
+
+template <Substrate S>
+struct On
+{
+    static constexpr Substrate substrate = S;
+};
+
+template <class T>
+class AmPath : public ::testing::Test
+{
+};
+
+struct SubstrateName
+{
+    template <class T>
+    static std::string
+    GetName(int)
+    {
+        return toString(T::substrate);
+    }
+};
+
+using CmamSubstrates = ::testing::Types<On<Substrate::Cm5>,
+                                        On<Substrate::Cr>,
+                                        On<Substrate::Rdma>>;
+TYPED_TEST_SUITE(AmPath, CmamSubstrates, SubstrateName);
+
+TYPED_TEST(AmPath, RequestReplyRoundsAllocateNothing)
+{
+    StackConfig cfg;
+    cfg.nodes = 2;
+    cfg.substrate = TypeParam::substrate;
+    Stack stack(cfg);
+    Cmam &client = stack.cmam(0);
+    Cmam &server = stack.cmam(1);
+
+    std::uint64_t replies = 0, controls = 0, bad = 0;
+    const int hReply = client.registerHandler(
+        [&](NodeId, const std::vector<Word> &args) {
+            ++replies;
+            bad += args.size() != 4 || args[1] != 7;
+        });
+    const int hRequest = server.registerHandler(
+        [&](NodeId src, const std::vector<Word> &args) {
+            server.am4Reply(src, hReply, {args[0] + 1, 7});
+        });
+    server.setControlSink(
+        CtrlOp::GenericA,
+        [&](NodeId, Word arg, const std::vector<Word> &args) {
+            ++controls;
+            bad += args.size() != 4 || args[0] != arg;
+        });
+
+    auto rounds = [&](Word n) {
+        for (Word i = 0; i < n; ++i) {
+            client.am4(1, hRequest, {i, 2, 3, 4});
+            client.sendTagged(HwTag::UserAm, 1,
+                              hdr::pack(static_cast<std::uint32_t>(
+                                            hRequest),
+                                        0),
+                              {i});
+            client.sendControl(1, CtrlOp::GenericA, i & 0xff,
+                               {i & 0xff, 9});
+            stack.settle();
+            server.poll();
+            stack.settle();
+            client.poll();
+        }
+    };
+    rounds(100);
+    const std::uint64_t before = hostprof::globalAllocCount();
+    rounds(1000);
+    EXPECT_EQ(hostprof::globalAllocCount() - before, 0u);
+    EXPECT_EQ(replies, 2 * 1100u);
+    EXPECT_EQ(controls, 1100u);
+    EXPECT_EQ(bad, 0u);
+}
+
+/** Heap allocations made by one engine run of @p spec. */
+std::uint64_t
+runAllocs(TrafficEngine &engine, const TrafficSpec &spec)
+{
+    const std::uint64_t before = hostprof::globalAllocCount();
+    const TrafficResult res = engine.run(spec);
+    const std::uint64_t allocs = hostprof::globalAllocCount() - before;
+    EXPECT_TRUE(res.ok);
+    if (spec.proto == TrafficProto::Seq) {
+        EXPECT_GT(res.shape.ooo, 0u) << "the reorder stash sat idle";
+    }
+    return allocs;
+}
+
+/**
+ * On a warmed engine, a run's allocations do not depend on how many
+ * messages it carries: only per-run set-up allocates, never a
+ * fragment.
+ */
+void
+expectRunAllocsFlat(Substrate sub, TrafficPattern pattern,
+                    TrafficProto proto, Tick jitter)
+{
+    TrafficSpec spec;
+    spec.pattern = pattern;
+    spec.proto = proto;
+    spec.nodes = 16;
+    spec.sizeWords = 8; // 4 fragments per message
+    spec.maxJitter = jitter;
+    Stack stack(trafficStackConfig(spec, sub));
+    TrafficEngine engine(stack);
+
+    TrafficSpec small = spec, large = spec;
+    small.messagesPerNode = 64;
+    large.messagesPerNode = 256;
+    for (int i = 0; i < 2; ++i) {
+        runAllocs(engine, large);
+        runAllocs(engine, small);
+    }
+    EXPECT_EQ(runAllocs(engine, small), runAllocs(engine, large));
+}
+
+TEST(TrafficEngineAllocs, Cm5SeqWithJitterIsFlatInMessageCount)
+{
+    expectRunAllocsFlat(Substrate::Cm5, TrafficPattern::AllToAll,
+                        TrafficProto::Seq, 3);
+}
+
+TEST(TrafficEngineAllocs, RdmaAckedIsFlatInMessageCount)
+{
+    expectRunAllocsFlat(Substrate::Rdma, TrafficPattern::Incast,
+                        TrafficProto::Acked, 0);
+}
 
 } // namespace
 } // namespace msgsim

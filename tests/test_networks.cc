@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <optional>
 #include <tuple>
@@ -22,6 +23,7 @@
 #include "cm5net/cm5_network.hh"
 #include "crnet/cr_network.hh"
 #include "net/order.hh"
+#include "net/packet_ring.hh"
 #include "ni/net_iface.hh"
 #include "nicam/nicam_network.hh"
 #include "packet_match.hh"
@@ -352,6 +354,52 @@ TEST(CrNetwork, IndependentFlowsDontBlockEachOther)
     reject0 = false;
     sim.run();
     ASSERT_EQ(got.size(), 2u);
+}
+
+// ----------------------------------------------------------------
+// PacketRing: the FIFO under cr's flow queues and the NI's receive
+// FIFOs.
+// ----------------------------------------------------------------
+
+TEST(PacketRing, WrapAroundAcrossGrowthKeepsFifoOrder)
+{
+    // Interleave pushes and pops so the head walks around the ring
+    // before every doubling (4 -> 8 -> 16 -> 32): each growth then
+    // re-linearizes a wrapped ring.  A reference deque checks order
+    // and size after every step.
+    PacketRing ring;
+    std::deque<Word> want;
+    Word next = 0;
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.size(), 0u);
+    for (int round = 0; round < 40; ++round) {
+        const int pushes = 3 + round % 4;
+        for (int i = 0; i < pushes; ++i) {
+            ring.push_back(mkPacket(0, 1, next));
+            want.push_back(next++);
+            ASSERT_EQ(ring.size(), want.size());
+            ASSERT_EQ(ring.front().header, want.front());
+        }
+        const int pops = round % 3 == 0 ? 1 : 2;
+        for (int i = 0; i < pops; ++i) {
+            const PacketRing &cring = ring;
+            ASSERT_EQ(cring.front().header, want.front());
+            ring.pop_front();
+            want.pop_front();
+            ASSERT_EQ(ring.size(), want.size());
+            if (!want.empty()) {
+                ASSERT_EQ(ring.front().header, want.front());
+            }
+        }
+    }
+    ASSERT_GT(want.size(), 16u); // grew past several doublings
+    while (!want.empty()) {
+        ASSERT_EQ(ring.front().header, want.front());
+        ring.pop_front();
+        want.pop_front();
+        ASSERT_EQ(ring.size(), want.size());
+    }
+    EXPECT_TRUE(ring.empty());
 }
 
 // ----------------------------------------------------------------

@@ -48,8 +48,14 @@
 #                                --seconds 1: per workload, counts and
 #                                digest identical across two seed-1
 #                                runs, no failed operation at seeds 1
-#                                and 2); fails on any mismatch.  Builds
-#                                into .bench_build/, takes ~30 s
+#                                and 2); fails on any mismatch.  Then
+#                                the active-message allocation gate:
+#                                the "counts traffic:" and "counts
+#                                stack:" lines of seed-1 runs must show
+#                                traffic.allocs_per_fragment.{cm5,rdma}
+#                                and cmam.allocs_per_round.{cm5,cr} at
+#                                most 0.02.  Builds into .bench_build/,
+#                                takes ~40 s
 set -euo pipefail
 
 repo_dir="$(cd "$(dirname "$0")" && pwd)"
@@ -396,6 +402,32 @@ EOF
     echo "wire ok: F1 golden + byte-identical, corruption recovered, rdma offload holds"
 }
 
+check_hostbench_allocs() {
+    # The messaging path allocates nothing per message after warm-up;
+    # what is left per fragment/round is one-time table and pool
+    # growth, amortized far below 0.02.  The counts are exact and
+    # deterministic, so the gate cannot flake.
+    local out
+    out="$(cd "$repo_dir" && for w in traffic stack; do
+        python3 hostbench/run.py --workload "$w" --seed 1 \
+            --seconds 0.5 --trace 0 2>/dev/null | grep '^counts '
+    done)"
+    python3 - "$out" <<'EOF'
+import json, sys
+counts = {}
+for line in sys.argv[1].splitlines():
+    counts.update(json.loads(line.split(": ", 1)[1]))
+gated = ["traffic.allocs_per_fragment.cm5",
+         "traffic.allocs_per_fragment.rdma",
+         "cmam.allocs_per_round.cm5", "cmam.allocs_per_round.cr"]
+bad = [k for k in gated if k not in counts or counts[k] > 0.02]
+for k in gated:
+    print(f"{k} = {counts.get(k)}")
+if bad:
+    sys.exit(f"allocation gate: above 0.02 (or missing): {bad}")
+EOF
+}
+
 check_tele() {
     local tele="$repo_dir/build/src/tele/msgsim-tele"
     local lab="$repo_dir/build/src/lab/msgsim-lab"
@@ -504,6 +536,7 @@ fi
 
 if [[ "${1:-}" == "--hostbench" ]]; then
     (cd "$repo_dir" && python3 hostbench/test_determinism.py --seconds 1)
+    check_hostbench_allocs
     echo "verify --hostbench: OK"
     exit 0
 fi
